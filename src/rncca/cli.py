@@ -18,6 +18,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import engine, formats, rpca, verify
 from .convert import (
     NEIGHBORHOOD,
@@ -63,25 +65,45 @@ def _gray(value, state_count):
 def render(trajectory, spec):
     """Render a trajectory to text, PGM (P2), or CSV.  Rows are time
     steps, t = 0 on top; output is a pure function of the inputs."""
-    xs = range(spec.x_min, spec.x_max + 1)
+    s = trajectory.rule.state_count
     if spec.format == "text":
-        width = len(str(trajectory.rule.state_count - 1))
-        lines = [
-            " ".join(str(engine.cell_at(cfg, x)).rjust(width) for x in xs)
-            for cfg in trajectory.configs
-        ]
-        return "\n".join(lines) + "\n"
-    if spec.format == "pgm":
-        s = trajectory.rule.state_count
-        lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(trajectory.configs)}", "255"]
-        for cfg in trajectory.configs:
-            lines.append(" ".join(str(_gray(engine.cell_at(cfg, x), s)) for x in xs))
-        return "\n".join(lines) + "\n"
-    lines = ["t,x,state"]
-    for t, cfg in enumerate(trajectory.configs):
-        for x in xs:
-            lines.append(f"{t},{x},{engine.cell_at(cfg, x)}")
+        width = len(str(s - 1))
+
+        def label(value):
+            return str(value).rjust(width)
+
+    elif spec.format == "pgm":
+
+        def label(value):
+            return str(_gray(value, s))
+
+    else:
+        label = str
+    # Rules over non-integer cells (state_count None) get no labels; their
+    # cells are labelled one by one.
+    labels = np.array([label(q) for q in range(s or 0)], dtype=object)
+    rows = [
+        _row_labels(engine.window_cells(cfg, spec.x_min, spec.x_max), labels, label)
+        for cfg in trajectory.configs
+    ]
+    if spec.format == "csv":
+        xs = range(spec.x_min, spec.x_max + 1)
+        lines = ["t,x,state"]
+        lines += [f"{t},{x},{cell}" for t, row in enumerate(rows) for x, cell in zip(xs, row)]
+    else:
+        lines = [" ".join(row) for row in rows]
+        if spec.format == "pgm":
+            lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(rows)}", "255"] + lines
     return "\n".join(lines) + "\n"
+
+
+def _row_labels(cells, labels, label):
+    """Labels of one row of cells.  A row with cells outside the rule's
+    states (possible only in an unstepped start) is labelled cell by cell."""
+    row = np.asarray(cells)
+    if row.ndim == 1 and row.dtype.kind in "iu" and row.min() >= 0 and row.max() < len(labels):
+        return labels[row].tolist()
+    return [label(value) for value in cells]
 
 
 def _write(text, out_path):
@@ -198,8 +220,7 @@ def cmd_convert(args):
             file=sys.stderr,
         )
         return 1
-    rule = convert(p)
-    code = rule.code
+    code = ParticleCode(p.c_size, p.r_size)
     digest = hashlib.sha256(_read(args.rule).encode()).hexdigest()
     neighborhood = ",".join(str(n) for n in NEIGHBORHOOD)
     lines = [
@@ -224,6 +245,7 @@ def cmd_convert(args):
                 file=sys.stderr,
             )
             return 2
+        rule = convert(p)
         for a in range(s):
             for b in range(s):
                 for c in range(s):

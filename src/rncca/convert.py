@@ -53,6 +53,10 @@ __all__ = [
 
 NEIGHBORHOOD = (-2, -1, 0, 1)
 
+# Entries of the reduced table (64 |C|^3 |R|^3); larger rules are refused
+# rather than allocated.  96 states need 884,736.
+_TABLE_LIMIT = 1 << 26
+
 
 @dataclass(frozen=True)
 class ParticleCode:
@@ -116,8 +120,10 @@ class ParticleCode:
 class NccaRule(engine.Rule):
     """The 4-neighbor rule derived from a reversible 2-part PCA.
 
-    Evaluation is always computed from the particle arithmetic; the
-    state_count**4 transition table is never materialized.
+    ``local`` and ``local_batch`` both read one reduced lookup table
+    indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|): 64 |C|^3 |R|^3
+    entries instead of state_count**4, stored as uint8 up to 256 states
+    (884,736 entries, 0.88 MB, at 96 states).
     """
 
     code: ParticleCode = None
@@ -212,69 +218,36 @@ def convert(p):
     * elsewhere the heavy mass stays and the left neighbor's light
       mass arrives: return heavy(q0) + light(q-1).
 
-    The two trigger guards are mutually exclusive (they need the heavy
-    half of q0 in disjoint ranges); this is asserted on every call.
+    Only light(q-2) and heavy(q1) matter, so the rule is compiled into
+    one table indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|).  The
+    two trigger guards are mutually exclusive (they need the heavy half
+    of q0 in disjoint ranges); the build checks this over the whole
+    table.
     """
     if not check_local_injective(p):
         raise ValueError("table is not injective; the derived rule would not be reversible")
     code = ParticleCode(p.c_size, p.r_size)
-    r_size = p.r_size
+    s = code.state_count
     two_r = code.light_modulus
-    hat_limit = code.hat_heavy_limit
-    hsum = code.heavy_pair_sum
-    lsum = code.light_pair_sum
-    hat_table = tuple(
-        tuple(phi(code, "hat", *p.table[c][r]) for r in range(r_size))
-        for c in range(p.c_size)
-    )
-    check_table = tuple(
-        tuple(phi(code, "check", *p.table[c][r]) for r in range(r_size))
-        for c in range(p.c_size)
-    )
+    two_c = 2 * p.c_size
+    if two_r * s * s * two_c > _TABLE_LIMIT:
+        raise ValueError(
+            f"a {p.c_size}x{p.r_size} source needs a {two_r * s * s * two_c}-entry rule table,"
+            f" over the limit of {_TABLE_LIMIT}"
+        )
+    table = _reduced_table(code, p)
+    flat = table.reshape(-1)
+    cells = memoryview(flat)
 
     def local(qm2, qm1, q0, q1):
-        lb = qm1 % two_r
-        lc = q0 % two_r
-        hc = q0 - lc
-        hd = q1 - q1 % two_r
-        case1 = lb < r_size <= lc and lb + lc == lsum and hc < hat_limit <= hd and hc + hd == hsum
-        la = qm2 % two_r
-        hb = qm1 - lb
-        case2 = la < r_size <= lb and la + lb == lsum and hb < hat_limit <= hc and hb + hc == hsum
-        if case1 and case2:
-            raise AssertionError("transition guards fired together")
-        if case1:
-            return hat_table[hc // two_r][lb]
-        if case2:
-            return check_table[hb // two_r][la]
-        return hc + lb
-
-    hat_np = np.array(hat_table, dtype=np.int64)
-    check_np = np.array(check_table, dtype=np.int64)
+        return cells[((qm2 % two_r * s + qm1) * s + q0) * two_c + q1 // two_r]
 
     def local_batch(cols):
-        a, b, c, d = (np.asarray(col, dtype=np.int64) for col in cols)
-        la = a % two_r
-        lb = b % two_r
-        lc = c % two_r
-        hb = b - lb
-        hc = c - lc
-        hd = d - d % two_r
-        case1 = (lb < r_size) & (lc >= r_size) & (lb + lc == lsum)
-        case1 &= (hc < hat_limit) & (hd >= hat_limit) & (hc + hd == hsum)
-        case2 = (la < r_size) & (lb >= r_size) & (la + lb == lsum)
-        case2 &= (hb < hat_limit) & (hc >= hat_limit) & (hb + hc == hsum)
-        if (case1 & case2).any():
-            raise AssertionError("transition guards fired together")
-        out = hc + lb
-        if case1.any():
-            out[case1] = hat_np[hc[case1] // two_r, lb[case1]]
-        if case2.any():
-            out[case2] = check_np[hb[case2] // two_r, la[case2]]
-        return out
+        a, b, c, d = (np.asarray(col, dtype=np.intp) for col in cols)
+        return flat[(((a % two_r) * s + b) * s + c) * two_c + d // two_r]
 
     return NccaRule(
-        state_count=code.state_count,
+        state_count=s,
         neighborhood=NEIGHBORHOOD,
         local=local,
         quiescent=0,
@@ -282,6 +255,53 @@ def convert(p):
         code=code,
         rpca=p,
     )
+
+
+def _reduced_table(code, p):
+    """The derived rule as a (2|R|, s, s, 2|C|) array over (light(q-2),
+    q-1, q0, heavy(q1) // 2|R|), in the smallest unsigned dtype that
+    holds every state.
+
+    Every entry starts as the shift move heavy(q0) + light(q-1); the
+    transition-site entries are then overwritten from the source table.
+    """
+    s = code.state_count
+    two_r = code.light_modulus
+    dtype = np.min_scalar_type(s - 1)
+    q = np.arange(s)
+    light = q % two_r
+    heavy = q - light
+
+    def balanced(part, hat_limit, pair_sum):
+        # balanced[x, y]: part(x) is a hat half and part(y) its complement.
+        return (part[:, None] < hat_limit) & (part[:, None] + part[None, :] == pair_sum) & (
+            part[None, :] >= hat_limit
+        )
+
+    light_pair = balanced(light, code.hat_light_limit, code.light_pair_sum)
+    heavy_pair = balanced(heavy, code.hat_heavy_limit, code.heavy_pair_sum)
+    # q-2 is represented by its light mass alone (a state below 2|R|),
+    # q1 by its heavy mass alone (a multiple of 2|R|).
+    site_start = light_pair[:, :, None] & heavy_pair[None, :, ::two_r]  # over (q-1, q0, q1)
+    site_end = light_pair[:two_r, :, None] & heavy_pair[None, :, :]  # over (q-2, q-1, q0)
+    # Both guards fire at (q-2, q-1, q0, q1) iff they fire for some q1 and
+    # some q-2 at the same (q-1, q0), so this covers the whole table.
+    if (site_start.any(axis=2) & site_end.any(axis=0)).any():
+        raise AssertionError("transition guards fired together")
+    hat, check = (
+        np.array(
+            [[phi(code, variant, *p.table[c][r]) for r in range(p.r_size)] for c in range(p.c_size)],
+            dtype=dtype,
+        )
+        for variant in ("hat", "check")
+    )
+    table = np.empty((two_r, s, s, 2 * code.c_size), dtype=dtype)
+    table[...] = (heavy[None, :] + light[:, None]).astype(dtype)[None, :, :, None]
+    b, c, d = np.nonzero(site_start)
+    table[:, b, c, d] = hat[heavy[c] // two_r, light[b]]
+    a, b, c = np.nonzero(site_end)
+    table[a, b, c] = check[heavy[b] // two_r, a][:, None]
+    return table
 
 
 def _require_pair_finite(config):

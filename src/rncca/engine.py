@@ -35,6 +35,7 @@ __all__ = [
     "cell_at",
     "step",
     "run",
+    "window_cells",
     "canonicalize",
     "configs_equal",
     "window_growth",
@@ -52,7 +53,7 @@ class Rule:
     ``local`` takes one argument per neighborhood offset, in
     neighborhood order.  ``local_batch``, when present, evaluates a
     list of numpy column vectors (one per offset) and must agree with
-    ``local`` element-wise; bulk sweeps use it when available.
+    ``local`` element-wise; bulk sweeps and ``run`` use it when available.
     ``state_count`` is None for rules whose cells are not plain
     integers; integer-state rules get range-checked while stepping.
     """
@@ -369,10 +370,130 @@ def step(rule, config):
 
 
 def run(rule, config, steps):
-    """Step ``config`` repeatedly, returning a Trajectory of length steps + 1."""
+    """Step ``config`` repeatedly, returning a Trajectory of length steps + 1.
+
+    Integer-state rules with a ``local_batch`` step whole rows as numpy
+    arrays; the result equals iterated ``step``.  Other rules step one
+    configuration at a time.
+    """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
     configs = [canonicalize(config)]
-    for _ in range(steps):
-        configs.append(step(rule, configs[-1]))
+    if steps and rule.state_count is not None and rule.local_batch is not None:
+        configs += _run_rows(rule, configs[0], steps)
+    else:
+        for _ in range(steps):
+            configs.append(step(rule, configs[-1]))
     return Trajectory(rule, tuple(configs))
+
+
+def window_cells(config, x_min, x_max):
+    """``cell_at(config, x)`` for every x in x_min..x_max, as one tuple."""
+    if isinstance(config, Cyclic):
+        return _pinned_cells(config.word, x_min, x_max + 1)
+    if isinstance(config, Finite):
+        left = right = (config.quiescent,)
+        center, c0 = config.word, config.offset
+    elif isinstance(config, BiPeriodic):
+        left, center, c0, right = config.left, config.center, config.center_offset, config.right
+    else:
+        raise TypeError(f"not a configuration: {config!r}")
+    c1 = c0 + len(center)
+    lo, hi = max(x_min, c0), min(x_max + 1, c1)
+    return (
+        _pinned_cells(left, x_min, min(x_max + 1, c0))
+        + (center[lo - c0 : hi - c0] if lo < hi else ())
+        + _pinned_cells(right, max(x_min, c1), x_max + 1)
+    )
+
+
+def _pinned_cells(word, start, stop):
+    """``word[x % len(word)]`` for start <= x < stop."""
+    if stop <= start:
+        return ()
+    n = len(word)
+    k = start % n
+    return (word * ((k + stop - start - 1) // n + 1))[k : k + stop - start]
+
+
+def _run_rows(rule, cfg, steps):
+    """The canonical configurations at t = 1..steps, stepped as numpy rows.
+
+    Cyclic words step as rings.  Otherwise the start is padded once to
+    the light cone of ``steps`` plus one background period per side;
+    each step then loses (max - min offset) cells, and at every t the
+    row still holds the whole center with at least one background
+    period beyond it on each side, from which the stepped backgrounds
+    are read.
+    """
+    nb = rule.neighborhood
+    batch = rule.local_batch
+    if isinstance(cfg, Cyclic):
+        _check_int_states(rule, cfg.word)
+        row = np.array(cfg.word, dtype=np.intp)
+        out = []
+        for _ in range(steps):
+            row = batch([np.roll(row, -d) for d in nb])
+            out.append(Cyclic(tuple(row.tolist())))
+        return out
+    if isinstance(cfg, Finite):
+        if cfg.quiescent != rule.quiescent:
+            raise ValueError("configuration background does not match the rule's quiescent state")
+        _check_int_states(rule, cfg.word)
+        c0, c1 = cfg.offset, cfg.offset + len(cfg.word)
+        nl = nr = 0
+    else:
+        _check_int_states(rule, cfg.left)
+        _check_int_states(rule, cfg.center)
+        _check_int_states(rule, cfg.right)
+        c0, c1 = cfg.center_offset, cfg.center_offset + len(cfg.center)
+        nl, nr = len(cfg.left), len(cfg.right)
+    lo, hi = min(nb), max(nb)
+    wl, wr = window_growth(nb)
+    start = c0 - nl - (wl - lo) * steps
+    row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
+    primitive = {}
+    out = []
+    for _ in range(steps):
+        width = len(row) - (hi - lo)
+        row = batch([row[d - lo : d - lo + width] for d in nb])
+        start -= lo
+        if isinstance(cfg, Finite):
+            out.append(_finite_from_row(row, start, cfg.quiescent))
+            continue
+        left = _background(row[:nl], start, primitive)
+        right = _background(row[-nr:], start + width - nr, primitive)
+        out.append(_biperiodic_from_row(row, start, left, right))
+    return out
+
+
+def _background(cells, x0, primitive):
+    """The primitive pinned word of a background whose cells at x0,
+    x0 + 1, ... are ``cells`` (one full period); ``primitive`` caches
+    the reduction by word."""
+    word = tuple(np.roll(cells, x0 % len(cells)).tolist())
+    if word not in primitive:
+        primitive[word] = _primitive_pinned(word)
+    return primitive[word]
+
+
+def _finite_from_row(row, start, q):
+    live = np.flatnonzero(row != q)
+    if not live.size:
+        return Finite(0, (), q)
+    i, j = int(live[0]), int(live[-1]) + 1
+    return Finite(start + i, tuple(row[i:j].tolist()), q)
+
+
+def _biperiodic_from_row(row, start, left, right):
+    """Canonical form of a row whose cells left of the center follow the
+    pinned word ``left`` and those right of it ``right``."""
+    xs = np.arange(start, start + len(row))
+    off_left = np.flatnonzero(row != np.array(left)[xs % len(left)])
+    off_right = np.flatnonzero(row != np.array(right)[xs % len(right)])
+    i = int(off_left[0]) if off_left.size else len(row)
+    j = int(off_right[-1]) + 1 if off_right.size else 0
+    if i < j:
+        return BiPeriodic(left, tuple(row[i:j].tolist()), start + i, right)
+    # Empty center: every cell from start + i on follows ``right``.
+    return _canonicalize_biperiodic(BiPeriodic(left, (), start + i, right))

@@ -63,6 +63,17 @@ class VerificationReport:
     elapsed_ms: int
 
 
+def _check_bounds(mode, count, **bounds):
+    """Reject bounds that would leave the domain empty (a vacuous pass)."""
+    if mode == "sampled":
+        if count is None:
+            raise ValueError("sampled mode needs a count")
+        bounds["sample count"] = count
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _report(name, domain, counterexample, started):
     elapsed = int(round((time.perf_counter() - started) * 1000))
     return VerificationReport(name, domain, counterexample is None, counterexample, elapsed)
@@ -171,6 +182,7 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     finite and cyclic, with lengths up to ``max_support``.
     """
     started = time.perf_counter()
+    _check_bounds(mode, count, support=max_support)
     if rule.quiescent != 0:
         raise ValueError("number conservation sums need quiescent state 0")
     s = rule.state_count
@@ -209,8 +221,6 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
                         break
         return _report(name, domain, counterexample, started)
     if mode == "sampled":
-        if count is None:
-            raise ValueError("sampled mode needs a count")
         rng = random.Random(seed)
         domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
         counterexample = None
@@ -272,6 +282,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     mode refuses to start when s**n exceeds the budget.
     """
     started = time.perf_counter()
+    _check_bounds(mode, count, cycle=n)
     s = rule.state_count
     budget = DEFAULT_BUDGET if budget is None else budget
     name = "inject"
@@ -320,8 +331,6 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
                 seen[image] = word
         return _report(name, domain, counterexample, started)
     if mode == "sampled":
-        if count is None:
-            raise ValueError("sampled mode needs a count")
         rng = random.Random(seed)
         domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
         seen = {}
@@ -346,8 +355,6 @@ def _pair_words(p, mode, max_support, count, seed, exact=False):
         pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
         yield from itertools.product(pairs, repeat=max_support)
     elif mode == "sampled":
-        if count is None:
-            raise ValueError("sampled mode needs a count")
         rng = random.Random(seed)
         for _ in range(count):
             length = max_support if exact else rng.randint(1, max_support)
@@ -366,6 +373,7 @@ def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, step
     requiring exact equality of canonical forms at every checkpoint.
     """
     started = time.perf_counter()
+    _check_bounds(mode, count, support=max_support, steps=steps)
     rule = convert(p)
     code = rule.code
     domain = (
@@ -406,6 +414,10 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     started = time.perf_counter()
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
+    if gaps is None:
+        _check_bounds(mode, count, support=max_support, steps=steps)
+    else:
+        _check_bounds(mode, count, steps=steps)
     rule = convert(p)
     code = rule.code
     if gaps is not None:

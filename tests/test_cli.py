@@ -280,3 +280,24 @@ def test_verify_inject_on_rpca_autoconverts(xor_rule, capsys):
 
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["inject", "--cycle", "-1"],
+        ["conserve", "--support", "0"],
+        ["inject", "--cycle", "0"],
+        ["simulate", "--support", "0"],
+        ["simulate", "--steps", "-1"],
+        ["tauprime", "--spacing", "3", "--support", "0"],
+        ["conserve", "--sampled", "0"],
+        ["inject", "--sampled", "0"],
+    ],
+    ids=" ".join,
+)
+def test_verify_rejects_empty_domains(xor_rule, capsys, args):
+    assert main(["verify", xor_rule, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be at least 1" in captured.err
