@@ -447,7 +447,7 @@ def _decode_block(code, q_hat, q_check, position):
     return pair
 
 
-def decode(code, config, expected_phase="even"):
+def decode(code, config):
     """Invert the plain block encoding.
 
     Only the even phase (blocks starting at even cells, the phase of
@@ -456,10 +456,6 @@ def decode(code, config, expected_phase="even"):
     not supported.  Violations of the block structure raise
     TauDecodeError with the offending cell position.
     """
-    if expected_phase not in ("even", "odd"):
-        raise ValueError(f"unknown phase {expected_phase!r}")
-    if expected_phase == "odd":
-        raise ValueError("odd-phase decoding is not supported; decode at even times only")
     if isinstance(config, Cyclic):
         word = config.word
         if len(word) % 2:

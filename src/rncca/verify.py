@@ -5,11 +5,16 @@ sampled domain, the verdict, and a counterexample when one exists.
 Reports are reproducible: the same property, bounds, and seed give the
 same verdict and counterexample.
 
-Exhaustive sweeps enumerate disjoint index ranges (chunks) and merge
-deterministically; rules that carry a ``local_batch`` evaluator are
-swept with numpy, everything else falls back to per-configuration
-stepping.  All sums are computed in exact integer arithmetic (cell
-values are tiny, so int64 columns cannot overflow).
+Every oracle steps its configurations together, as the rows of numpy
+matrices, in chunks of bounded size; exhaustive sweeps enumerate
+disjoint index ranges and merge deterministically, and sampled sweeps
+draw every word in the documented order before stepping it.  The
+simulation oracles then rerun one start (the first failing one, or the
+last one on a pass) through the public stepping functions, which
+confirm the verdict and word the counterexample.  Rules without a ``local_batch`` evaluator
+are swept the same way, their ``local`` applied element by element.
+All sums are computed in exact integer arithmetic (cell values are
+tiny, so int64 columns cannot overflow).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .convert import convert, encode_tau, encode_tau_prime, heavy_part, light_part
+from .convert import convert, encode_tau, encode_tau_prime, heavy_part, light_part, phi
 from .engine import Cyclic, Finite, Trajectory, cell_at, window_growth
 from .formats import format_configuration
 from .rpca import QUIESCENT_PAIR, step_rpca
@@ -45,6 +50,8 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 18
+# Cells per row matrix in the sampled and simulation sweeps.
+_ROW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,18 +115,33 @@ def _word_chunks(s, length, chunk=_CHUNK):
         yield np.stack(cols[::-1], axis=1)
 
 
+def _batch_of(rule):
+    """The rule's batch evaluator: ``local_batch``, or else ``local``
+    applied element by element."""
+    if rule.local_batch is not None:
+        return rule.local_batch
+    local = rule.local
+
+    def batch(cols):
+        hoods = zip(*(np.ravel(col).tolist() for col in cols))
+        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(np.shape(cols[0]))
+
+    return batch
+
+
 def _finite_images(rule, words):
     """Batch one step of zero-padded words; columns cover the widened window."""
     nb = rule.neighborhood
+    batch = _batch_of(rule)
     wl, wr = window_growth(nb)
     lo, hi = min(nb), max(nb)
     rows, length = words.shape
     span_lo = -wl + lo
     span_hi = length - 1 + wr + hi
-    src = np.zeros((rows, span_hi - span_lo + 1), dtype=np.int64)
+    src = np.zeros((rows, span_hi - span_lo + 1), dtype=words.dtype)
     src[:, -span_lo : -span_lo + length] = words
     outs = [
-        rule.local_batch([src[:, x + d - span_lo] for d in nb])
+        batch([src[:, x + d - span_lo] for d in nb])
         for x in range(-wl, length + wr)
     ]
     return np.stack(outs, axis=1)
@@ -127,9 +149,10 @@ def _finite_images(rule, words):
 
 def _cyclic_images(rule, words):
     nb = rule.neighborhood
+    batch = _batch_of(rule)
     rows, length = words.shape
     outs = [
-        rule.local_batch([words[:, (i + d) % length] for d in nb])
+        batch([words[:, (i + d) % length] for d in nb])
         for i in range(length)
     ]
     return np.stack(outs, axis=1)
@@ -140,36 +163,46 @@ def _word_literal(word, cyclic=False):
     return format_configuration(cfg)
 
 
-def _conservation_counterexample(word, before, after, cyclic=False):
+def _first_unconserved(rule, words, cyclic):
+    """(row, image) of the first word whose cell sum one step changes,
+    or None."""
+    images = (_cyclic_images if cyclic else _finite_images)(rule, words)
+    bad = np.flatnonzero(words.sum(axis=1) != images.sum(axis=1))
+    return (int(bad[0]), images[bad[0]]) if bad.size else None
+
+
+def _conservation_counterexample(word, image, cyclic):
     return Counterexample(
         input=_word_literal(word, cyclic),
-        expected=f"cell sum {before}",
-        actual=f"cell sum {after}",
+        expected=f"cell sum {sum(word)}",
+        actual=f"cell sum {int(image.sum())}",
     )
 
 
-def _scan_sums(words, images, cyclic):
-    before = words.sum(axis=1)
-    after = images.sum(axis=1)
-    bad = np.nonzero(before != after)[0]
-    if bad.size:
-        i = int(bad[0])
-        return _conservation_counterexample(
-            [int(v) for v in words[i]], int(before[i]), int(after[i]), cyclic
-        )
-    return None
-
-
-def _check_conserving_config(rule, cfg):
-    stepped = engine.step(rule, cfg)
-    before, after = sum(cfg.word), sum(stepped.word)
-    if before != after:
-        return Counterexample(
-            input=format_configuration(cfg),
-            expected=f"cell sum {before}",
-            actual=f"cell sum {after}",
-        )
-    return None
+def _first_sampled_unconserved(rule, draws, first):
+    """Counterexample for the earliest of ``draws`` whose cell sum one
+    step changes, or None.  Draw j is number ``first + j``; even numbers
+    are finite words, odd ones cyclic.  Finite words step together,
+    zero-padded to one length (padding adds quiescent cells, which
+    changes no sum); cyclic words step in groups of one length."""
+    groups = {}
+    for j, word in enumerate(draws):
+        cyclic = (first + j) % 2 == 1
+        groups.setdefault((cyclic, len(word) if cyclic else 0), []).append(j)
+    dtype = np.min_scalar_type(rule.state_count - 1)
+    failures = []
+    for (cyclic, _), members in groups.items():
+        words = np.zeros((len(members), max(len(draws[j]) for j in members)), dtype=dtype)
+        for row, j in enumerate(members):
+            words[row, : len(draws[j])] = draws[j]
+        found = _first_unconserved(rule, words, cyclic)
+        if found:
+            row, image = found
+            failures.append((members[row], image, cyclic))
+    if not failures:
+        return None
+    j, image, cyclic = min(failures, key=lambda failure: failure[0])
+    return _conservation_counterexample(draws[j], image, cyclic)
 
 
 def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=None, seed=None):
@@ -192,43 +225,29 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
             f"exhaustive states={s} finite words len={max_support} "
             f"cyclic len<={max_support}"
         )
+        sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
         counterexample = None
-        if rule.local_batch is not None:
-            for words in _word_chunks(s, max_support):
-                counterexample = _scan_sums(words, _finite_images(rule, words), False)
-                if counterexample:
+        for length, cyclic in sweeps:
+            for words in _word_chunks(s, length):
+                found = _first_unconserved(rule, words, cyclic)
+                if found:
+                    row, image = found
+                    counterexample = _conservation_counterexample(words[row].tolist(), image, cyclic)
                     break
-            if counterexample is None:
-                for length in range(1, max_support + 1):
-                    for words in _word_chunks(s, length):
-                        counterexample = _scan_sums(words, _cyclic_images(rule, words), True)
-                        if counterexample:
-                            break
-                    if counterexample:
-                        break
-        else:
-            for word in itertools.product(range(s), repeat=max_support):
-                counterexample = _check_conserving_config(rule, Finite(0, word, 0))
-                if counterexample:
-                    break
-            if counterexample is None:
-                for length in range(1, max_support + 1):
-                    for word in itertools.product(range(s), repeat=length):
-                        counterexample = _check_conserving_config(rule, Cyclic(word))
-                        if counterexample:
-                            break
-                    if counterexample:
-                        break
+            if counterexample:
+                break
         return _report(name, domain, counterexample, started)
     if mode == "sampled":
         rng = random.Random(seed)
         domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
+        rows = max(1, _ROW_CELLS // max_support)
         counterexample = None
-        for i in range(count):
-            length = rng.randint(1, max_support)
-            word = tuple(rng.randrange(s) for _ in range(length))
-            cfg = Finite(0, word, 0) if i % 2 == 0 else Cyclic(word)
-            counterexample = _check_conserving_config(rule, cfg)
+        for first in range(0, count, rows):
+            draws = []
+            for _ in range(min(rows, count - first)):
+                length = rng.randint(1, max_support)
+                draws.append(tuple(rng.randrange(s) for _ in range(length)))
+            counterexample = _first_sampled_unconserved(rule, draws, first)
             if counterexample:
                 break
         return _report(name, domain, counterexample, started)
@@ -260,10 +279,14 @@ def _injectivity_counterexample(rule, n, collision_key):
         if second is not None:
             break
     image = _word_literal(_key_digits(collision_key, s, n), cyclic=True)
+    return _collision(first, second, image)
+
+
+def _collision(first, second, image_literal):
     return Counterexample(
         input=f"{_word_literal(first, True)} and {_word_literal(second, True)}",
         expected="distinct images",
-        actual=f"both step to {image}",
+        actual=f"both step to {image_literal}",
     )
 
 
@@ -279,7 +302,10 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
 
     Words are compared exactly, not up to rotation: a collision between
     rotations of one word is still an injectivity violation.  Exhaustive
-    mode refuses to start when s**n exceeds the budget.
+    mode refuses to start when s**n exceeds the budget, and reports the
+    collision with the smallest image (read as a base-s number).
+    Sampled mode reports the first draw whose image an earlier, different
+    draw already had.
     """
     started = time.perf_counter()
     _check_bounds(mode, count, cycle=n)
@@ -295,57 +321,52 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
             )
         domain = f"exhaustive states={s} cycle={n} words={total}"
         collision_key = None
-        if rule.local_batch is not None:
-            seen = np.zeros(total, dtype=bool)
-            for words in _word_chunks(s, n):
-                images = _cyclic_images(rule, words)
-                keys = _horner(images, s)
-                candidates = []
-                values, counts = np.unique(keys, return_counts=True)
-                repeated = values[counts > 1]
-                if repeated.size:
-                    candidates.append(int(repeated.min()))
-                prior = keys[seen[keys]]
-                if prior.size:
-                    candidates.append(int(prior.min()))
-                if candidates:
-                    best = min(candidates)
-                    collision_key = best if collision_key is None else min(collision_key, best)
-                seen[keys] = True
-            counterexample = (
-                None if collision_key is None
-                else _injectivity_counterexample(rule, n, collision_key)
-            )
-        else:
-            seen = {}
-            counterexample = None
-            for word in itertools.product(range(s), repeat=n):
-                image = engine.step(rule, Cyclic(word)).word
-                if image in seen and seen[image] != word:
-                    counterexample = Counterexample(
-                        input=f"{_word_literal(seen[image], True)} and {_word_literal(word, True)}",
-                        expected="distinct images",
-                        actual=f"both step to {_word_literal(image, True)}",
-                    )
-                    break
-                seen[image] = word
+        seen = np.zeros(total, dtype=bool)
+        for words in _word_chunks(s, n):
+            images = _cyclic_images(rule, words)
+            keys = _horner(images, s)
+            candidates = []
+            values, counts = np.unique(keys, return_counts=True)
+            repeated = values[counts > 1]
+            if repeated.size:
+                candidates.append(int(repeated.min()))
+            prior = keys[seen[keys]]
+            if prior.size:
+                candidates.append(int(prior.min()))
+            if candidates:
+                best = min(candidates)
+                collision_key = best if collision_key is None else min(collision_key, best)
+            seen[keys] = True
+        counterexample = (
+            None if collision_key is None
+            else _injectivity_counterexample(rule, n, collision_key)
+        )
         return _report(name, domain, counterexample, started)
     if mode == "sampled":
         rng = random.Random(seed)
         domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
-        seen = {}
+        rows = max(1, _ROW_CELLS // n)
+        dtype = np.min_scalar_type(s - 1)
+        # Every distinct image drawn so far, with the one word that had it.
+        seen_words = seen_images = np.zeros((0, n), dtype=dtype)
         counterexample = None
-        for _ in range(count):
-            word = tuple(rng.randrange(s) for _ in range(n))
-            image = engine.step(rule, Cyclic(word)).word
-            if image in seen and seen[image] != word:
-                counterexample = Counterexample(
-                    input=f"{_word_literal(seen[image], True)} and {_word_literal(word, True)}",
-                    expected="distinct images",
-                    actual=f"both step to {_word_literal(image, True)}",
+        for first in range(0, count, rows):
+            size = min(rows, count - first) * n
+            draws = np.fromiter((rng.randrange(s) for _ in range(size)), dtype=dtype, count=size)
+            words = np.concatenate([seen_words, draws.reshape(-1, n)])
+            images = np.concatenate([seen_images, _cyclic_images(rule, words[len(seen_words) :])])
+            image_ids = np.unique(images, axis=0, return_inverse=True)[1].reshape(-1)
+            _, owners = np.unique(image_ids, return_index=True)
+            # owner[i]: the earliest row with row i's image.
+            owner = owners[image_ids]
+            clashes = np.flatnonzero((words != words[owner]).any(axis=1))
+            if clashes.size:
+                i = clashes[0]
+                counterexample = _collision(
+                    words[owner[i]].tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
                 )
                 break
-            seen[image] = word
+            seen_words, seen_images = words[owners], images[owners]
         return _report(name, domain, counterexample, started)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -365,39 +386,178 @@ def _pair_words(p, mode, max_support, count, seed, exact=False):
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _start_rows(p, mode, max_support, count, seed, rows):
+    """The starts of ``_pair_words``, ``rows`` at a time, as matrices of
+    pair codes c*|R| + r on source cells 0..max_support-1.  Shorter
+    sampled words are padded with the quiescent code 0."""
+    if mode == "exhaustive":
+        # Lexicographic codes are itertools.product order over the pairs.
+        yield from _word_chunks(p.c_size * p.r_size, max_support, rows)
+        return
+    words = _pair_words(p, mode, max_support, count, seed)
+    while chunk := list(itertools.islice(words, rows)):
+        codes = np.zeros((len(chunk), max_support), dtype=np.int64)
+        for i, word in enumerate(chunk):
+            codes[i, : len(word)] = [c * p.r_size + r for c, r in word]
+        yield codes
+
+
+def _padding(rule, k, horizon, steps):
+    """Source cells (left, right) to add around a start so that its
+    derived row, stepped up to ``horizon`` times, still holds the light
+    cone of the start and the encoding of the source after up to
+    ``steps`` steps, plus one whole background block on each side: the
+    invariant ``engine._run_rows`` keeps."""
+    nb = rule.neighborhood
+    wl, wr = window_growth(nb)
+    lo, hi = min(nb), max(nb)
+    right = max(k * steps, wr * horizon) + hi * horizon
+    return -(-(wl - lo) * horizon // k) + 1, -(-right // k) + 1
+
+
+def _chunk_rows(rule, k, horizon, steps, max_support):
+    """Starts per chunk, so that a derived row matrix has about
+    ``_ROW_CELLS`` cells."""
+    width = k * (sum(_padding(rule, k, horizon, steps)) + max_support)
+    return max(1, _ROW_CELLS // width)
+
+
+def _tracking_failures(p, rule, k, words, periods, steps):
+    """Where the derived CA stops tracking the source, for many starts.
+
+    ``words`` holds one start per row, as from ``_start_rows``.  Returns
+    ``bad`` with ``bad[i, t - 1, j]`` true when, for start j, the derived
+    configuration after ``periods[i] * t`` steps differs from the
+    spacing-k block encoding (``encode_tau`` for k = 2, else
+    ``encode_tau_prime``) of the source after t steps.  With the padding
+    of ``_padding``, each compared row ends in a whole block of k cells
+    beyond the light cone and the encoded source on each side; past
+    those, both configurations are pinned k-periodic, so rows are equal
+    exactly when the canonical configurations are.
+    """
+    code = rule.code
+    pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
+    # Source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
+    table = np.array([c * p.r_size + r for c, r in (p.table[c][r] for c, r in pairs)], dtype=np.intp)
+    # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
+    blocks = np.array(
+        [[phi(code, "hat", c, r), phi(code, "check", c, r)] + [0] * (k - 2) for c, r in pairs],
+        dtype=np.min_scalar_type(code.state_count - 1),
+    )
+    horizon = max(periods) * steps
+    left, right = _padding(rule, k, horizon, steps)
+    n, length = words.shape
+    source = np.zeros((n, left + length + right), dtype=np.intp)
+    source[:, left : left + length] = words
+    encoded = [blocks[source].reshape(n, -1)]
+    for _ in range(steps):
+        before = np.zeros_like(source)  # cell x - 1; quiescent left of the row
+        before[:, 1:] = source[:, :-1]
+        source = table[source - source % p.r_size + before % p.r_size]
+        encoded.append(blocks[source].reshape(n, -1))
+    compared = {}
+    for i, q in enumerate(periods):
+        for t in range(1, steps + 1):
+            compared.setdefault(q * t, []).append((i, t))
+    nb = rule.neighborhood
+    batch = _batch_of(rule)
+    lo, hi = min(nb), max(nb)
+    width = encoded[0].shape[1]
+    row = encoded[0].astype(np.intp)
+    bad = np.zeros((len(periods), steps, n), dtype=bool)
+    # As in engine._run_rows, each step drops hi - lo cells: the row after
+    # T steps covers cells -lo*T .. width-1-hi*T of the encoded rows.
+    for T in range(1, horizon + 1):
+        cells = row.shape[1] - (hi - lo)
+        image = batch([row[:, d - lo : d - lo + cells] for d in nb])
+        for i, t in compared.get(T, ()):
+            bad[i, t - 1] = (image != encoded[t][:, -lo * T : width - hi * T]).any(axis=1)
+        # One conversion here spares one per shifted slice in ``batch``.
+        row = image.astype(np.intp)
+    return bad
+
+
+def _track_start(p, rule, k, codes, periods, steps):
+    """One start (pair codes ``codes``) through the public functions:
+    ``step_rpca``, the block encoding and ``engine.step``.  Returns the
+    periods q whose q derived steps track every source step and, when
+    none does, the counterexample: the first t at which k derived steps
+    per source step miss."""
+    code = rule.code
+
+    def encode(config):
+        return encode_tau(code, config) if k == 2 else encode_tau_prime(code, config, k=k)
+
+    word = tuple(divmod(int(v), p.r_size) for v in codes)
+    alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
+    encoded = [encode(alpha)]
+    source = alpha
+    for _ in range(steps):
+        source = step_rpca(p, source)
+        encoded.append(encode(source))
+    trajectory = [encoded[0]]
+    for _ in range(max(periods) * steps):
+        trajectory.append(engine.step(rule, trajectory[-1]))
+    surviving = [
+        q for q in periods if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
+    ]
+    if surviving:
+        return surviving, None
+    t_bad = next(
+        (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
+        None,
+    )
+    if t_bad is None:
+        return [], Counterexample(
+            input=format_configuration(alpha),
+            expected=f"one period q <= {4 * k} working for every start",
+            actual="no candidate period survives this start",
+        )
+    return [], Counterexample(
+        input=format_configuration(alpha),
+        expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
+        actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
+    )
+
+
+def _confirm(found, swept, codes):
+    """The sweep's periods for one start must be those the public
+    functions find; anything else is a fault in the batched path or a
+    rule whose ``local`` and ``local_batch`` disagree."""
+    if found != swept:
+        raise RuntimeError(
+            f"batched sweep found periods {swept} for start {codes.tolist()},"
+            f" per-configuration stepping {found}"
+        )
+
+
 def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
     """Each source step must equal two derived steps under the block encoding.
 
     For every starting configuration, runs the source CA for ``steps``
     steps and the derived CA for twice as many from the encoded start,
     requiring exact equality of canonical forms at every checkpoint.
+    All starts of a chunk step together as rows of one matrix; the
+    report names the first failing start and its first failing t.
     """
     started = time.perf_counter()
     _check_bounds(mode, count, support=max_support, steps=steps)
     rule = convert(p)
-    code = rule.code
     domain = (
         f"{mode} pairs={p.c_size}x{p.r_size} support<={max_support} steps={steps}"
         + (f" count={count} seed={seed}" if mode == "sampled" else "")
     )
-    counterexample = None
-    for word in _pair_words(p, mode, max_support, count, seed):
-        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
-        source = alpha
-        derived = encode_tau(code, alpha)
-        for t in range(1, steps + 1):
-            source = step_rpca(p, source)
-            derived = engine.step(rule, engine.step(rule, derived))
-            expected = encode_tau(code, source)
-            if derived != expected:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"t={t} {format_configuration(expected)}",
-                    actual=f"t={t} {format_configuration(derived)}",
-                )
-                break
-        if counterexample:
+    rows = _chunk_rows(rule, 2, 2 * steps, steps, max_support)
+    for words in _start_rows(p, mode, max_support, count, seed, rows):
+        failing = np.flatnonzero(_tracking_failures(p, rule, 2, words, [2], steps)[0].any(axis=0))
+        failed = bool(failing.size)
+        start = words[failing[0] if failed else -1]
+        if failed:
             break
+    # The first failing start, else the last one, goes through the public
+    # functions once more: they confirm the sweep and word the report.
+    found, counterexample = _track_start(p, rule, 2, start, [2], steps)
+    _confirm(found, [] if failed else [2], start)
     return _report("simulate", domain, counterexample, started)
 
 
@@ -406,8 +566,10 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
 
     Uniform spacing k: searches the smallest period q <= 4k such that
     q derived steps track one source step for every tested start, and
-    passes when the conjectured period k works.  k = 2 delegates to the
-    plain two-step check.  A gap list switches to the mass-ledger-only
+    passes when the conjectured period k works.  The candidate periods
+    are narrowed start by start, in enumeration order; every candidate
+    is checked on a whole chunk of starts at once.  k = 2 delegates to
+    the plain two-step check.  A gap list switches to the mass-ledger-only
     check: heavy and light window sums must stay constant for ``steps``
     steps (the light window advancing one cell per step).
     """
@@ -456,40 +618,25 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     if k < 3:
         raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
     candidates = list(range(1, 4 * k + 1))
-    counterexample = None
-    for word in _pair_words(p, mode, max_support, count, seed):
-        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
-        encoded = [encode_tau_prime(code, alpha, k=k)]
-        source = alpha
-        for _ in range(steps):
-            source = step_rpca(p, source)
-            encoded.append(encode_tau_prime(code, source, k=k))
-        horizon = max(candidates) * steps
-        trajectory = engine.run(rule, encoded[0], horizon).configs
-        surviving = [
-            q
-            for q in candidates
-            if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
-        ]
-        if not surviving:
-            t_bad = next(
-                (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
-                None,
-            )
-            if t_bad is None:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"one period q <= {4 * k} working for every start",
-                    actual="no candidate period survives this start",
-                )
-            else:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
-                    actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
-                )
+    rows = _chunk_rows(rule, k, max(candidates) * steps, steps, max_support)
+    for words in _start_rows(p, mode, max_support, count, seed, rows):
+        tracks = ~_tracking_failures(p, rule, k, words, candidates, steps).any(axis=1)
+        # alive[i, j]: candidates[i] tracks starts 0..j of this chunk.
+        alive = np.logical_and.accumulate(tracks, axis=1)
+        dead = np.flatnonzero(~alive.any(axis=0))
+        failed = bool(dead.size)
+        j = dead[0] if failed else len(words) - 1
+        start = words[j]
+        if failed:
+            if j:
+                candidates = [q for q, ok in zip(candidates, alive[:, j - 1]) if ok]
             break
-        candidates = surviving
+        candidates = [q for q, ok in zip(candidates, alive[:, -1]) if ok]
+    # As in simulate, the public functions confirm the sweep on one start
+    # (the first with no surviving candidate, else the last) and word the
+    # report.
+    found, counterexample = _track_start(p, rule, k, start, candidates, steps)
+    _confirm(found, [] if failed else candidates, start)
     period = min(candidates) if counterexample is None else None
     domain = (
         f"{mode} pairs={p.c_size}x{p.r_size} k={k} support<={max_support} steps={steps}"

@@ -1,0 +1,389 @@
+"""The batched oracles against the per-start loops they replaced.
+
+``reference_*`` below are the earlier per-configuration implementations
+of ``simulate``, ``tauprime --spacing`` and sampled ``conserve`` /
+``inject``, kept verbatim apart from taking the derived rule as an
+argument and returning the report fields.  Every batched report must
+equal them in property, domain, verdict and counterexample.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rncca.verify as verify
+from rncca import engine
+from rncca.convert import convert, encode_tau, encode_tau_prime
+from rncca.engine import Cyclic, Finite, make_rule, window_growth
+from rncca.formats import format_configuration
+from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca, step_rpca
+from rncca.verify import Counterexample
+
+XOR = example_rpca("xor")
+
+
+def fields(report):
+    return (report.property, report.domain, report.passed, report.counterexample)
+
+
+def reference_pair_words(p, mode, max_support, count, seed, exact=False):
+    if mode == "exhaustive":
+        pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
+        yield from itertools.product(pairs, repeat=max_support)
+    elif mode == "sampled":
+        rng = random.Random(seed)
+        for _ in range(count):
+            length = max_support if exact else rng.randint(1, max_support)
+            yield tuple(
+                (rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(length)
+            )
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def reference_simulate(p, rule, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
+    code = rule.code
+    domain = (
+        f"{mode} pairs={p.c_size}x{p.r_size} support<={max_support} steps={steps}"
+        + (f" count={count} seed={seed}" if mode == "sampled" else "")
+    )
+    counterexample = None
+    for word in reference_pair_words(p, mode, max_support, count, seed):
+        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
+        source = alpha
+        derived = encode_tau(code, alpha)
+        for t in range(1, steps + 1):
+            source = step_rpca(p, source)
+            derived = engine.step(rule, engine.step(rule, derived))
+            expected = encode_tau(code, source)
+            if derived != expected:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"t={t} {format_configuration(expected)}",
+                    actual=f"t={t} {format_configuration(derived)}",
+                )
+                break
+        if counterexample:
+            break
+    return ("simulate", domain, counterexample is None, counterexample)
+
+
+def reference_tauprime(p, rule, k, *, mode="exhaustive", max_support=3, steps=4, count=None, seed=None):
+    code = rule.code
+    candidates = list(range(1, 4 * k + 1))
+    counterexample = None
+    for word in reference_pair_words(p, mode, max_support, count, seed):
+        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
+        encoded = [encode_tau_prime(code, alpha, k=k)]
+        source = alpha
+        for _ in range(steps):
+            source = step_rpca(p, source)
+            encoded.append(encode_tau_prime(code, source, k=k))
+        horizon = max(candidates) * steps
+        trajectory = engine.run(rule, encoded[0], horizon).configs
+        surviving = [
+            q
+            for q in candidates
+            if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
+        ]
+        if not surviving:
+            t_bad = next(
+                (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
+                None,
+            )
+            if t_bad is None:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"one period q <= {4 * k} working for every start",
+                    actual="no candidate period survives this start",
+                )
+            else:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
+                    actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
+                )
+            break
+        candidates = surviving
+    period = min(candidates) if counterexample is None else None
+    domain = (
+        f"{mode} pairs={p.c_size}x{p.r_size} k={k} support<={max_support} steps={steps}"
+        + (f" count={count} seed={seed}" if mode == "sampled" else "")
+        + f" period={period}"
+    )
+    if counterexample is None and k not in candidates:
+        counterexample = Counterexample(
+            input=f"period search over 1..{4 * k}",
+            expected=f"simulation period {k}",
+            actual=f"smallest working period {period}",
+        )
+    return ("tauprime", domain, counterexample is None, counterexample)
+
+
+def reference_conserve_sampled(rule, *, max_support, count, seed):
+    s = rule.state_count
+    rng = random.Random(seed)
+    domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
+    counterexample = None
+    for i in range(count):
+        length = rng.randint(1, max_support)
+        word = tuple(rng.randrange(s) for _ in range(length))
+        cfg = Finite(0, word, 0) if i % 2 == 0 else Cyclic(word)
+        stepped = engine.step(rule, cfg)
+        before, after = sum(cfg.word), sum(stepped.word)
+        if before != after:
+            counterexample = Counterexample(
+                input=format_configuration(cfg),
+                expected=f"cell sum {before}",
+                actual=f"cell sum {after}",
+            )
+            break
+    return ("conserve", domain, counterexample is None, counterexample)
+
+
+def reference_inject_sampled(rule, n, *, count, seed):
+    s = rule.state_count
+    rng = random.Random(seed)
+    domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
+    seen = {}
+    counterexample = None
+    for _ in range(count):
+        word = tuple(rng.randrange(s) for _ in range(n))
+        image = engine.step(rule, Cyclic(word)).word
+        if image in seen and seen[image] != word:
+            counterexample = Counterexample(
+                input=f"{verify._word_literal(seen[image], True)} and {verify._word_literal(word, True)}",
+                expected="distinct images",
+                actual=f"both step to {verify._word_literal(image, True)}",
+            )
+            break
+        seen[image] = word
+    return ("inject", domain, counterexample is None, counterexample)
+
+
+@st.composite
+def reversible_tables(draw, max_side=3):
+    c_size = draw(st.integers(1, max_side))
+    r_size = draw(st.integers(1, max_side))
+    pairs = [(c, r) for c in range(c_size) for r in range(r_size)]
+    images = draw(st.permutations(pairs[1:]))
+    return make_rpca(c_size, r_size, {(0, 0): (0, 0), **dict(zip(pairs[1:], images))})
+
+
+@st.composite
+def bounds(draw, p, max_exhaustive_starts, max_steps):
+    """Oracle keyword bounds: exhaustive with at most the given number of
+    starts, or sampled (lengths up to the support, many shorter)."""
+    steps = draw(st.integers(1, max_steps))
+    if draw(st.booleans()):
+        support = 1
+        while (p.c_size * p.r_size) ** (support + 1) <= max_exhaustive_starts and support < 4:
+            support += 1
+        return dict(mode="exhaustive", max_support=draw(st.integers(1, support)), steps=steps)
+    return dict(
+        mode="sampled",
+        max_support=draw(st.integers(1, 6)),
+        steps=steps,
+        count=draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+def mutated(rule, key, value):
+    """``rule`` with one entry of its reduced table, indexed by
+    (light(q-2), q-1, q0, heavy(q1) // 2|R|), replaced by ``value``."""
+    two_r = rule.code.light_modulus
+
+    def local(a, b, c, d):
+        if (a % two_r, b, c, d // two_r) == key:
+            return value
+        return rule.local(a, b, c, d)
+
+    def local_batch(cols):
+        a, b, c, d = (np.asarray(col) for col in cols)
+        out = np.array(rule.local_batch(cols))
+        out[(a % two_r == key[0]) & (b == key[1]) & (c == key[2]) & (d // two_r == key[3])] = value
+        return out
+
+    return dataclasses.replace(rule, local=local, local_batch=local_batch)
+
+
+def reached_mutation(p, rule, rng, support, steps, k=2):
+    """``rule`` with a changed entry that the derived run of a random
+    start of the given support, under spacing k, reaches within k * steps
+    steps."""
+    two_r = rule.code.light_modulus
+    word = tuple((rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(support))
+    alpha = Finite(0, word, QUIESCENT_PAIR)
+    start = encode_tau(rule.code, alpha) if k == 2 else encode_tau_prime(rule.code, alpha, k=k)
+    config = engine.run(rule, start, k * steps).configs[rng.randrange(k * steps)]
+    x = config.center_offset + rng.randrange(-2, len(config.center) + 2)
+    hood = [engine.cell_at(config, x + d) for d in rule.neighborhood]
+    key = (hood[0] % two_r, hood[1], hood[2], hood[3] // two_r)
+    s = rule.state_count
+    return mutated(rule, key, (rule.local(*hood) + rng.randrange(1, s)) % s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_simulate_matches_reference(data):
+    p = data.draw(reversible_tables())
+    kwargs = data.draw(bounds(p, 100, 3))
+    assert fields(verify.check_simulation_correspondence(p, **kwargs)) == reference_simulate(
+        p, convert(p), **kwargs
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([3, 4]))
+def test_tauprime_spacing_matches_reference(data, k):
+    p = data.draw(reversible_tables())
+    kwargs = data.draw(bounds(p, 20, 2))
+    report = verify.check_tau_prime_correspondence(p, k=k, **kwargs)
+    assert fields(report) == reference_tauprime(p, convert(p), k, **kwargs)
+
+
+def test_wrong_derived_rule_reports_match(monkeypatch):
+    # The derived rule of another table, as in
+    # test_verify.test_simulate_catches_wrong_derived_rule.
+    monkeypatch.setattr(verify, "convert", lambda p: convert(XOR))
+    swap = example_rpca("swap")
+    for kwargs in (
+        dict(mode="exhaustive", max_support=2, steps=2),
+        dict(mode="exhaustive", max_support=3, steps=3),
+        dict(mode="sampled", max_support=5, steps=3, count=20, seed=4),
+    ):
+        report = verify.check_simulation_correspondence(swap, **kwargs)
+        assert not report.passed
+        assert fields(report) == reference_simulate(swap, convert(XOR), **kwargs)
+    for k in (3, 4):
+        kwargs = dict(mode="exhaustive", max_support=2, steps=2)
+        report = verify.check_tau_prime_correspondence(swap, k=k, **kwargs)
+        assert not report.passed
+        assert fields(report) == reference_tauprime(swap, convert(XOR), k, **kwargs)
+
+
+@pytest.mark.parametrize("name, sizes", [("xor", (2, 2)), ("random", (2, 3))])
+def test_mutated_table_reports_match(monkeypatch, name, sizes):
+    # The seeded draws include failures at a later start and at a later t.
+    p = example_rpca(name, *sizes, seed=5)
+    rng = random.Random(11)
+    failures = []
+    for _ in range(30):
+        rule = reached_mutation(p, convert(p), rng, 2, 3)
+        monkeypatch.setattr(verify, "convert", lambda p, rule=rule: rule)
+        kwargs = dict(mode="exhaustive", max_support=2, steps=3)
+        report = verify.check_simulation_correspondence(p, **kwargs)
+        assert fields(report) == reference_simulate(p, rule, **kwargs)
+        if not report.passed:
+            failures.append(report.counterexample)
+        rule = reached_mutation(p, convert(p), rng, 2, 2, k=3)
+        monkeypatch.setattr(verify, "convert", lambda p, rule=rule: rule)
+        kwargs = dict(mode="exhaustive", max_support=2, steps=2)
+        report = verify.check_tau_prime_correspondence(p, k=3, **kwargs)
+        assert fields(report) == reference_tauprime(p, rule, 3, **kwargs)
+    assert any(not c.expected.startswith("t=1 ") for c in failures)
+    assert any(c.input != "finite q#=(0,0) @0:" for c in failures)
+
+
+@pytest.mark.parametrize("row_cells", [1, 40, 300])
+def test_chunked_sweeps_match_reference(monkeypatch, row_cells):
+    # Down to one start per chunk: period narrowing, first failures and
+    # the sampled collision search all cross chunk boundaries.
+    monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)
+    p = example_rpca("random", 2, 3, seed=2)
+    kwargs = dict(mode="exhaustive", max_support=2, steps=2)
+    assert fields(verify.check_simulation_correspondence(p, **kwargs)) == reference_simulate(
+        p, convert(p), **kwargs
+    )
+    kwargs = dict(mode="sampled", max_support=4, steps=2, count=12, seed=9)
+    assert fields(verify.check_tau_prime_correspondence(p, k=3, **kwargs)) == reference_tauprime(
+        p, convert(p), 3, **kwargs
+    )
+    rule = reached_mutation(p, convert(p), random.Random(3), 2, 3)
+    monkeypatch.setattr(verify, "convert", lambda p: rule)
+    kwargs = dict(mode="exhaustive", max_support=2, steps=3)
+    assert fields(verify.check_simulation_correspondence(p, **kwargs)) == reference_simulate(
+        p, rule, **kwargs
+    )
+    lossy = make_rule(3, (-1, 0), lambda a, b: max(a, b), 0)
+    for seed in range(3):
+        report = verify.check_number_conserving(lossy, mode="sampled", max_support=4, count=40, seed=seed)
+        assert fields(report) == reference_conserve_sampled(lossy, max_support=4, count=40, seed=seed)
+        report = verify.check_injective_cyclic(lossy, 3, mode="sampled", count=40, seed=seed)
+        assert fields(report) == reference_inject_sampled(lossy, 3, count=40, seed=seed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_padding_keeps_a_block_beyond_cone_and_source(k):
+    # The invariant that makes row equality exact: after T derived steps
+    # the row still reaches one whole block of k cells past the light
+    # cone of the start (cells 0..k*length-1) and past the encoded source
+    # after ``steps`` steps, on both sides.
+    rule = convert(XOR)
+    wl, wr = window_growth(rule.neighborhood)
+    lo, hi = min(rule.neighborhood), max(rule.neighborhood)
+    for steps in range(1, 5):
+        for q in range(1, 4 * k + 1):
+            horizon = q * steps
+            left, right = verify._padding(rule, k, horizon, steps)
+            for length in (1, 4):
+                for T in range(horizon + 1):
+                    first = -k * left - lo * T
+                    last = k * (length + right) - 1 - hi * T
+                    assert first + k - 1 < min(-wl * T, 0)
+                    assert last - k + 1 > max(k * length - 1 + wr * T, k * (length + steps) - 1)
+
+
+@st.composite
+def small_rules(draw):
+    """A random integer-state rule as a table and as a callable."""
+    s = draw(st.integers(1, 3))
+    nb = draw(st.sampled_from([(-1, 0), (0, 1), (-1, 0, 1), (1, 2)]))
+    keys = list(itertools.product(range(s), repeat=len(nb)))
+    values = draw(st.lists(st.integers(0, s - 1), min_size=len(keys), max_size=len(keys)))
+    table = dict(zip(keys, values))
+    table[(0,) * len(nb)] = 0
+    return make_rule(s, nb, table, 0), make_rule(s, nb, lambda *cells: table[cells], 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rules(), st.integers(0, 2**31), st.integers(1, 5), st.integers(1, 60))
+def test_sampled_conserve_and_inject_match_reference(rules, seed, length, count):
+    derived = convert(example_rpca("random", 2, 2, seed=seed % 7))
+    for rule in (*rules, derived):
+        report = verify.check_number_conserving(rule, mode="sampled", max_support=length, count=count, seed=seed)
+        assert fields(report) == reference_conserve_sampled(rule, max_support=length, count=count, seed=seed)
+        report = verify.check_injective_cyclic(rule, length, mode="sampled", count=count, seed=seed)
+        assert fields(report) == reference_inject_sampled(rule, length, count=count, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rules(), st.integers(1, 4))
+def test_table_and_callable_forms_report_alike(rules, length):
+    table_form, callable_form = rules
+    assert callable_form.local_batch is None
+    for check in (
+        lambda rule: verify.check_number_conserving(rule, mode="exhaustive", max_support=length),
+        lambda rule: verify.check_injective_cyclic(rule, length),
+    ):
+        assert fields(check(table_form)) == fields(check(callable_form))
+
+
+def test_callable_inject_reports_smallest_colliding_image():
+    # Both forms report the collision with the smallest image key; the
+    # callable form once reported the first colliding word instead
+    # ("cyclic: 0,0,1 and cyclic: 0,1,1").
+    def local(a, b):
+        return a if b == 0 else 0
+
+    table = {key: local(*key) for key in itertools.product(range(3), repeat=2)}
+    for rule in (make_rule(3, (-1, 0), table, 0), make_rule(3, (-1, 0), local, 0)):
+        report = verify.check_injective_cyclic(rule, 3)
+        assert report.counterexample.input == "cyclic: 0,0,0 and cyclic: 1,1,1"
+        assert report.counterexample.actual == "both step to cyclic: 0,0,0"

@@ -285,12 +285,6 @@ def test_decode_rejects_finite_input():
         decode(CODE22, Finite(0, [5, 10], 0))
 
 
-def test_decode_rejects_odd_phase_request():
-    cfg = encode_tau(CODE22, Finite(0, [(1, 1)], QUIESCENT_PAIR))
-    with pytest.raises(ValueError):
-        decode(CODE22, cfg, expected_phase="odd")
-
-
 def test_decode_tau_prime_round_trip():
     for k in (3, 4, 5):
         for word in itertools.product([(0, 0), (1, 1), (1, 0)], repeat=3):

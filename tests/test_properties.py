@@ -45,8 +45,9 @@ def test_decompose_compose_round_trip(code, data):
 
 @given(codes, st.data())
 def test_guards_are_mutually_exclusive(code, data):
-    # The local rule asserts this internally on every evaluation; here
-    # the predicates themselves are checked across random sizes.
+    # convert proves this once, over the whole reduced table, when it
+    # builds the rule; here the predicates themselves are checked across
+    # random sizes.
     s = code.state_count
     window = data.draw(st.tuples(*(st.integers(0, s - 1) for _ in range(4))))
     a, b, c, d = window
