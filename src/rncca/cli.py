@@ -291,7 +291,7 @@ def cmd_verify(args):
         rule = _load_int_rule(args.rule)
         if args.property == "conserve":
             report = verify.check_number_conserving(
-                rule, mode=mode, max_support=args.support, count=count, seed=args.seed
+                rule, mode=mode, max_support=args.support, count=count, seed=args.seed, budget=budget
             )
         else:
             report = verify.check_injective_cyclic(

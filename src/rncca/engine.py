@@ -52,8 +52,9 @@ class Rule:
 
     ``local`` takes one argument per neighborhood offset, in
     neighborhood order.  ``local_batch``, when present, evaluates a
-    list of numpy column vectors (one per offset) and must agree with
-    ``local`` element-wise; bulk sweeps and ``run`` use it when available.
+    list of numpy arrays (one per offset) that broadcast together, and
+    must agree with ``local`` on every element of their broadcast; bulk
+    sweeps and ``run`` use it when available.
     ``state_count`` is None for rules whose cells are not plain
     integers; integer-state rules get range-checked while stepping.
     """

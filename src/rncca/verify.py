@@ -5,16 +5,17 @@ sampled domain, the verdict, and a counterexample when one exists.
 Reports are reproducible: the same property, bounds, and seed give the
 same verdict and counterexample.
 
-Every oracle steps its configurations together, as the rows of numpy
-matrices, in chunks of bounded size; exhaustive sweeps enumerate
-disjoint index ranges and merge deterministically, and sampled sweeps
-draw every word in the documented order before stepping it.  The
-simulation oracles then rerun one start (the first failing one, or the
-last one on a pass) through the public stepping functions, which
-confirm the verdict and word the counterexample.  Rules without a ``local_batch`` evaluator
-are swept the same way, their ``local`` applied element by element.
-All sums are computed in exact integer arithmetic (cell values are
-tiny, so int64 columns cannot overflow).
+Exhaustive ``conserve`` and ``inject`` sweep digit grids, not word
+matrices: each word position is ``np.arange(s)`` on its own axis of a
+broadcast grid, so an image cell reads only its neighborhood's axes.
+The other oracles step their configurations together as the rows of
+numpy matrices.  Sweeps go in chunks of bounded size and fixed order;
+sampled ones draw every word in the documented order before stepping
+it.  The simulation oracles then rerun one start (the first failing
+one, or the last one on a pass) through the public stepping functions,
+which confirm the verdict and word the counterexample.  Rules without
+a ``local_batch`` evaluator are swept the same way, their ``local``
+applied element by element.  All sums are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -103,59 +104,70 @@ def format_report(report):
     return " ".join(parts)
 
 
-def _word_chunks(s, length, chunk=_CHUNK):
-    """All s**length words as (rows, length) int64 arrays, lexicographic."""
-    total = s**length
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = []
-        for _ in range(length):
-            cols.append(idx % s)
-            idx = idx // s
-        yield np.stack(cols[::-1], axis=1)
+def _grids(s, length, chunk):
+    """All s**length words in lexicographic order, in chunks of at most
+    ``chunk`` words (over chunk / s unless fewer remain), as (index of
+    the chunk's first word, one column per position).  The columns
+    broadcast to a grid (rows, s, ..., s): each trailing position is
+    ``np.arange(s)`` on its own axis and the leading ones share axis 0,
+    so the grid's C-order ravel is lexicographic."""
+    tail = 0
+    while tail < length - 1 and s ** (tail + 1) <= chunk:
+        tail += 1
+    lead = length - tail
+    trailing = [np.arange(s).reshape([s if a == t else 1 for a in range(-1, tail)]) for t in range(tail)]
+    rows = max(1, chunk // s**tail)
+    for start in range(0, s**lead, rows):
+        idx = np.arange(start, min(start + rows, s**lead)).reshape((-1,) + (1,) * tail)
+        yield start * s**tail, [idx // s ** (lead - 1 - j) % s for j in range(lead)] + trailing
+
+
+def _digits(index, s, length):
+    """The base-s digits of ``index``, most significant first, in Python
+    integers: a domain may hold more words than int64 can count."""
+    return tuple(index // s**i % s for i in reversed(range(length)))
 
 
 def _batch_of(rule):
     """The rule's batch evaluator: ``local_batch``, or else ``local``
-    applied element by element."""
+    applied element by element over the broadcast columns."""
     if rule.local_batch is not None:
         return rule.local_batch
     local = rule.local
 
     def batch(cols):
-        hoods = zip(*(np.ravel(col).tolist() for col in cols))
-        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(np.shape(cols[0]))
+        cols = np.broadcast_arrays(*cols)
+        hoods = zip(*(col.ravel().tolist() for col in cols))
+        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(cols[0].shape)
 
     return batch
 
 
-def _finite_images(rule, words):
-    """Batch one step of zero-padded words; columns cover the widened window."""
+def _image_cells(rule, cols, cyclic):
+    """One step of the words whose cell i is ``cols[i]``, for columns
+    that broadcast together: the image's cells, as columns that
+    broadcast against them.  Cyclic words wrap around; finite words are
+    zero-padded and their image covers the widened window."""
     nb = rule.neighborhood
     batch = _batch_of(rule)
+    n = len(cols)
+    if cyclic:
+        return [batch([cols[(i + d) % n] for d in nb]) for i in range(n)]
     wl, wr = window_growth(nb)
-    lo, hi = min(nb), max(nb)
-    rows, length = words.shape
-    span_lo = -wl + lo
-    span_hi = length - 1 + wr + hi
-    src = np.zeros((rows, span_hi - span_lo + 1), dtype=words.dtype)
-    src[:, -span_lo : -span_lo + length] = words
-    outs = [
-        batch([src[:, x + d - span_lo] for d in nb])
-        for x in range(-wl, length + wr)
+    zero = np.zeros((1,) * cols[0].ndim, dtype=cols[0].dtype)
+    return [
+        batch([cols[x + d] if 0 <= x + d < n else zero for d in nb])
+        for x in range(-wl, n + wr)
     ]
-    return np.stack(outs, axis=1)
+
+
+def _finite_images(rule, words):
+    """One step of the words in the rows of ``words``, as a matrix."""
+    return np.stack(np.broadcast_arrays(*_image_cells(rule, list(words.T), False)), axis=1)
 
 
 def _cyclic_images(rule, words):
-    nb = rule.neighborhood
-    batch = _batch_of(rule)
-    rows, length = words.shape
-    outs = [
-        batch([words[:, (i + d) % length] for d in nb])
-        for i in range(length)
-    ]
-    return np.stack(outs, axis=1)
+    return np.stack(np.broadcast_arrays(*_image_cells(rule, list(words.T), True)), axis=1)
 
 
 def _word_literal(word, cyclic=False):
@@ -163,19 +175,32 @@ def _word_literal(word, cyclic=False):
     return format_configuration(cfg)
 
 
-def _first_unconserved(rule, words, cyclic):
-    """(row, image) of the first word whose cell sum one step changes,
-    or None."""
-    images = (_cyclic_images if cyclic else _finite_images)(rule, words)
-    bad = np.flatnonzero(words.sum(axis=1) != images.sum(axis=1))
-    return (int(bad[0]), images[bad[0]]) if bad.size else None
+def _check_budget(total, budget):
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if total > budget:
+        raise ValueError(
+            f"exhaustive sweep would step {total} words, over the budget of {budget};"
+            " use sampled mode or raise the budget"
+        )
 
 
-def _conservation_counterexample(word, image, cyclic):
+def _first_unconserved(rule, cols, cyclic):
+    """(index, change) for the first word, in C order over the broadcast
+    ``cols``, whose cell sum one step changes by ``change``; or None."""
+    change = np.zeros(np.broadcast_shapes(*(col.shape for col in cols)), dtype=np.int64)
+    for cell in _image_cells(rule, cols, cyclic):
+        change += cell
+    for col in cols:
+        change -= col
+    bad = np.flatnonzero(change)
+    return (int(bad[0]), int(change.flat[bad[0]])) if bad.size else None
+
+
+def _conservation_counterexample(word, change, cyclic):
     return Counterexample(
         input=_word_literal(word, cyclic),
         expected=f"cell sum {sum(word)}",
-        actual=f"cell sum {int(image.sum())}",
+        actual=f"cell sum {sum(word) + change}",
     )
 
 
@@ -192,25 +217,26 @@ def _first_sampled_unconserved(rule, draws, first):
     dtype = np.min_scalar_type(rule.state_count - 1)
     failures = []
     for (cyclic, _), members in groups.items():
-        words = np.zeros((len(members), max(len(draws[j]) for j in members)), dtype=dtype)
-        for row, j in enumerate(members):
-            words[row, : len(draws[j])] = draws[j]
-        found = _first_unconserved(rule, words, cyclic)
+        padded = itertools.zip_longest(*(draws[j] for j in members), fillvalue=0)
+        found = _first_unconserved(rule, [np.array(col, dtype=dtype) for col in padded], cyclic)
         if found:
-            row, image = found
-            failures.append((members[row], image, cyclic))
+            row, change = found
+            failures.append((members[row], change, cyclic))
     if not failures:
         return None
-    j, image, cyclic = min(failures, key=lambda failure: failure[0])
-    return _conservation_counterexample(draws[j], image, cyclic)
+    j, change, cyclic = min(failures, key=lambda failure: failure[0])
+    return _conservation_counterexample(draws[j], change, cyclic)
 
 
-def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=None, seed=None):
+def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=None, seed=None, budget=None):
     """Compare cell sums before and after one step.
 
     Exhaustive mode enumerates every zero-padded word of length
     ``max_support`` (which covers all supports up to that bound, up to
-    translation) plus every cyclic word of length 1..max_support.
+    translation) plus every cyclic word of length 1..max_support, and
+    reports the first word, in that order, whose sum changes.  It
+    refuses to start when that is more than ``budget`` words
+    (s**max_support plus s**n for each n <= max_support).
     Sampled mode draws ``count`` random configurations, alternating
     finite and cyclic, with lengths up to ``max_support``.
     """
@@ -221,22 +247,16 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     s = rule.state_count
     name = "conserve"
     if mode == "exhaustive":
-        domain = (
-            f"exhaustive states={s} finite words len={max_support} "
-            f"cyclic len<={max_support}"
-        )
         sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
-        counterexample = None
-        for length, cyclic in sweeps:
-            for words in _word_chunks(s, length):
-                found = _first_unconserved(rule, words, cyclic)
-                if found:
-                    row, image = found
-                    counterexample = _conservation_counterexample(words[row].tolist(), image, cyclic)
-                    break
-            if counterexample:
-                break
-        return _report(name, domain, counterexample, started)
+        _check_budget(sum(s**length for length, _ in sweeps), budget)
+        domain = f"exhaustive states={s} finite words len={max_support} cyclic len<={max_support}"
+        failures = (
+            _conservation_counterexample(_digits(first + found[0], s, length), found[1], cyclic)
+            for length, cyclic in sweeps
+            for first, cols in _grids(s, length, _CHUNK)
+            if (found := _first_unconserved(rule, cols, cyclic))
+        )
+        return _report(name, domain, next(failures, None), started)
     if mode == "sampled":
         rng = random.Random(seed)
         domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
@@ -254,32 +274,30 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _key_digits(key, s, length):
-    digits = []
-    for _ in range(length):
-        digits.append(int(key % s))
-        key //= s
-    return tuple(digits[::-1])
+def _image_keys(rule, cols):
+    """Images of the cyclic words over ``cols`` read as base-s numbers
+    (sum of img_i * s**(n-1-i)), flat in C order.  Every partial sum is
+    below s**n, so int32 holds them when s**n does."""
+    s = rule.state_count
+    dtype = np.int32 if s ** len(cols) <= 1 << 31 else np.int64
+    keys = np.zeros(np.broadcast_shapes(*(col.shape for col in cols)), dtype=dtype)
+    for cell in _image_cells(rule, cols, cyclic=True):
+        keys *= s
+        keys += cell
+    return keys.ravel()
 
 
 def _injectivity_counterexample(rule, n, collision_key):
+    """The first two cyclic words, in lexicographic order, whose image
+    has key ``collision_key``."""
     s = rule.state_count
-    first = second = None
-    for words in _word_chunks(s, n):
-        images = _cyclic_images(rule, words)
-        keys = _horner(images, s)
-        hits = np.nonzero(keys == collision_key)[0]
-        for i in hits:
-            word = tuple(int(v) for v in words[i])
-            if first is None:
-                first = word
-            elif second is None and word != first:
-                second = word
-                break
-        if second is not None:
+    hits = []
+    for first, cols in _grids(s, n, _CHUNK):
+        hits += (first + np.flatnonzero(_image_keys(rule, cols) == collision_key)).tolist()
+        if len(hits) >= 2:
             break
-    image = _word_literal(_key_digits(collision_key, s, n), cyclic=True)
-    return _collision(first, second, image)
+    image = _word_literal(_digits(collision_key, s, n), cyclic=True)
+    return _collision(_digits(hits[0], s, n), _digits(hits[1], s, n), image)
 
 
 def _collision(first, second, image_literal):
@@ -290,55 +308,42 @@ def _collision(first, second, image_literal):
     )
 
 
-def _horner(words, s):
-    keys = words[:, 0].astype(np.int64)
-    for i in range(1, words.shape[1]):
-        keys = keys * s + words[:, i]
-    return keys
-
-
 def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None, budget=None):
     """Look for two distinct cyclic words of length n with the same image.
 
     Words are compared exactly, not up to rotation: a collision between
     rotations of one word is still an injectivity violation.  Exhaustive
-    mode refuses to start when s**n exceeds the budget, and reports the
-    collision with the smallest image (read as a base-s number).
+    mode refuses to start when s**n exceeds the budget or the memory for
+    one flag per word, and reports the collision with the smallest image
+    (read as a base-s number).
     Sampled mode reports the first draw whose image an earlier, different
     draw already had.
     """
     started = time.perf_counter()
     _check_bounds(mode, count, cycle=n)
     s = rule.state_count
-    budget = DEFAULT_BUDGET if budget is None else budget
     name = "inject"
     if mode == "exhaustive":
         total = s**n
-        if total > budget:
-            raise ValueError(
-                f"exhaustive sweep would step {total} words, over the budget of {budget};"
-                " use sampled mode or raise the budget"
-            )
+        _check_budget(total, budget)
         domain = f"exhaustive states={s} cycle={n} words={total}"
-        collision_key = None
-        seen = np.zeros(total, dtype=bool)
-        for words in _word_chunks(s, n):
-            images = _cyclic_images(rule, words)
-            keys = _horner(images, s)
-            candidates = []
-            values, counts = np.unique(keys, return_counts=True)
-            repeated = values[counts > 1]
-            if repeated.size:
-                candidates.append(int(repeated.min()))
-            prior = keys[seen[keys]]
-            if prior.size:
-                candidates.append(int(prior.min()))
-            if candidates:
-                best = min(candidates)
-                collision_key = best if collision_key is None else min(collision_key, best)
-            seen[keys] = True
+        try:
+            seen = np.zeros(total, dtype=bool)
+        except (MemoryError, ValueError):
+            raise ValueError(
+                f"exhaustive sweep of {total} words needs more memory than is available;"
+                " use sampled mode or a shorter cycle"
+            ) from None
+        collision_key = total  # above every key: no collision yet
+        for _, cols in _grids(s, n, _CHUNK):
+            ordered = np.sort(_image_keys(rule, cols))
+            # Keys an earlier chunk had or this one has twice; the first is least.
+            hit = seen[ordered]
+            hit[:-1] |= ordered[1:] == ordered[:-1]
+            collision_key = min([collision_key, *ordered[hit][:1].tolist()])
+            seen[ordered] = True
         counterexample = (
-            None if collision_key is None
+            None if collision_key == total
             else _injectivity_counterexample(rule, n, collision_key)
         )
         return _report(name, domain, counterexample, started)
@@ -387,12 +392,13 @@ def _pair_words(p, mode, max_support, count, seed, exact=False):
 
 
 def _start_rows(p, mode, max_support, count, seed, rows):
-    """The starts of ``_pair_words``, ``rows`` at a time, as matrices of
-    pair codes c*|R| + r on source cells 0..max_support-1.  Shorter
-    sampled words are padded with the quiescent code 0."""
+    """The starts of ``_pair_words``, at most ``rows`` at a time, as
+    matrices of pair codes c*|R| + r on source cells 0..max_support-1.
+    Shorter sampled words are padded with the quiescent code 0."""
     if mode == "exhaustive":
         # Lexicographic codes are itertools.product order over the pairs.
-        yield from _word_chunks(p.c_size * p.r_size, max_support, rows)
+        for _, cols in _grids(p.c_size * p.r_size, max_support, rows):
+            yield np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, max_support)
         return
     words = _pair_words(p, mode, max_support, count, seed)
     while chunk := list(itertools.islice(words, rows)):
@@ -705,17 +711,9 @@ def ledger_is_constant(code, trajectory, window=None):
     """Check mass-ledger constancy, widening the window by one cell per
     side before declaring a violation."""
     ledger = mass_ledger(code, trajectory, window)
-
-    def constant(led):
-        heavies = {row[1] for row in led.rows}
-        lights = {row[2] for row in led.rows}
-        return len(heavies) == 1 and len(lights) == 1
-
-    if constant(ledger):
-        return True, ledger
     a, b = ledger.window
-    for retry in ((a - 1, b), (a, b + 1), (a - 1, b + 1)):
-        wider = mass_ledger(code, trajectory, retry)
-        if constant(wider):
-            return True, wider
+    retries = ((a - 1, b), (a, b + 1), (a - 1, b + 1))
+    for led in itertools.chain([ledger], (mass_ledger(code, trajectory, w) for w in retries)):
+        if len({row[1] for row in led.rows}) == 1 and len({row[2] for row in led.rows}) == 1:
+            return True, led
     return False, ledger

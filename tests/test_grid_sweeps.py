@@ -1,0 +1,450 @@
+"""Exhaustive ``conserve`` / ``inject`` over digit grids against the
+word-matrix sweeps they replaced.
+
+``reference_*`` below are the earlier matrix-path implementations: every
+word of a chunk as one row of an int64 matrix, images stacked column by
+column, image keys by Horner's rule, and the collision rescan.  They are
+kept verbatim apart from taking the rule as an argument, returning the
+report fields and using the ``reference_`` prefix.  Every grid report
+must equal them in property, domain, verdict and counterexample.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rncca.verify as verify
+from rncca.cli import main
+from rncca.convert import convert
+from rncca.engine import Cyclic, Finite, make_rule, window_growth
+from rncca.formats import format_configuration
+from rncca.rpca import example_rpca, format_rpca
+from rncca.verify import Counterexample
+
+REFERENCE_CHUNK = 1 << 18
+
+
+def fields(report):
+    return (report.property, report.domain, report.passed, report.counterexample)
+
+
+def reference_word_chunks(s, length, chunk=REFERENCE_CHUNK):
+    """All s**length words as (rows, length) int64 arrays, lexicographic."""
+    total = s**length
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cols = []
+        for _ in range(length):
+            cols.append(idx % s)
+            idx = idx // s
+        yield np.stack(cols[::-1], axis=1)
+
+
+def reference_batch_of(rule):
+    if rule.local_batch is not None:
+        return rule.local_batch
+    local = rule.local
+
+    def batch(cols):
+        hoods = zip(*(np.ravel(col).tolist() for col in cols))
+        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(np.shape(cols[0]))
+
+    return batch
+
+
+def reference_finite_images(rule, words):
+    nb = rule.neighborhood
+    batch = reference_batch_of(rule)
+    wl, wr = window_growth(nb)
+    lo, hi = min(nb), max(nb)
+    rows, length = words.shape
+    span_lo = -wl + lo
+    span_hi = length - 1 + wr + hi
+    src = np.zeros((rows, span_hi - span_lo + 1), dtype=words.dtype)
+    src[:, -span_lo : -span_lo + length] = words
+    outs = [
+        batch([src[:, x + d - span_lo] for d in nb])
+        for x in range(-wl, length + wr)
+    ]
+    return np.stack(outs, axis=1)
+
+
+def reference_cyclic_images(rule, words):
+    nb = rule.neighborhood
+    batch = reference_batch_of(rule)
+    rows, length = words.shape
+    outs = [
+        batch([words[:, (i + d) % length] for d in nb])
+        for i in range(length)
+    ]
+    return np.stack(outs, axis=1)
+
+
+def reference_word_literal(word, cyclic=False):
+    cfg = Cyclic(tuple(word)) if cyclic else Finite(0, tuple(word), 0)
+    return format_configuration(cfg)
+
+
+def reference_first_unconserved(rule, words, cyclic):
+    images = (reference_cyclic_images if cyclic else reference_finite_images)(rule, words)
+    bad = np.flatnonzero(words.sum(axis=1) != images.sum(axis=1))
+    return (int(bad[0]), images[bad[0]]) if bad.size else None
+
+
+def reference_conservation_counterexample(word, image, cyclic):
+    return Counterexample(
+        input=reference_word_literal(word, cyclic),
+        expected=f"cell sum {sum(word)}",
+        actual=f"cell sum {int(image.sum())}",
+    )
+
+
+def reference_conserve(rule, max_support):
+    s = rule.state_count
+    domain = (
+        f"exhaustive states={s} finite words len={max_support} "
+        f"cyclic len<={max_support}"
+    )
+    sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
+    counterexample = None
+    for length, cyclic in sweeps:
+        for words in reference_word_chunks(s, length):
+            found = reference_first_unconserved(rule, words, cyclic)
+            if found:
+                row, image = found
+                counterexample = reference_conservation_counterexample(words[row].tolist(), image, cyclic)
+                break
+        if counterexample:
+            break
+    return ("conserve", domain, counterexample is None, counterexample)
+
+
+def reference_key_digits(key, s, length):
+    digits = []
+    for _ in range(length):
+        digits.append(int(key % s))
+        key //= s
+    return tuple(digits[::-1])
+
+
+def reference_horner(words, s):
+    keys = words[:, 0].astype(np.int64)
+    for i in range(1, words.shape[1]):
+        keys = keys * s + words[:, i]
+    return keys
+
+
+def reference_collision(first, second, image_literal):
+    return Counterexample(
+        input=f"{reference_word_literal(first, True)} and {reference_word_literal(second, True)}",
+        expected="distinct images",
+        actual=f"both step to {image_literal}",
+    )
+
+
+def reference_injectivity_counterexample(rule, n, collision_key):
+    s = rule.state_count
+    first = second = None
+    for words in reference_word_chunks(s, n):
+        images = reference_cyclic_images(rule, words)
+        keys = reference_horner(images, s)
+        hits = np.nonzero(keys == collision_key)[0]
+        for i in hits:
+            word = tuple(int(v) for v in words[i])
+            if first is None:
+                first = word
+            elif second is None and word != first:
+                second = word
+                break
+        if second is not None:
+            break
+    image = reference_word_literal(reference_key_digits(collision_key, s, n), cyclic=True)
+    return reference_collision(first, second, image)
+
+
+def reference_inject(rule, n):
+    s = rule.state_count
+    total = s**n
+    domain = f"exhaustive states={s} cycle={n} words={total}"
+    collision_key = None
+    seen = np.zeros(total, dtype=bool)
+    for words in reference_word_chunks(s, n):
+        images = reference_cyclic_images(rule, words)
+        keys = reference_horner(images, s)
+        candidates = []
+        values, counts = np.unique(keys, return_counts=True)
+        repeated = values[counts > 1]
+        if repeated.size:
+            candidates.append(int(repeated.min()))
+        prior = keys[seen[keys]]
+        if prior.size:
+            candidates.append(int(prior.min()))
+        if candidates:
+            best = min(candidates)
+            collision_key = best if collision_key is None else min(collision_key, best)
+        seen[keys] = True
+    counterexample = (
+        None if collision_key is None
+        else reference_injectivity_counterexample(rule, n, collision_key)
+    )
+    return ("inject", domain, counterexample is None, counterexample)
+
+
+def assert_sweeps_match(rule, lengths):
+    for length in lengths:
+        report = verify.check_number_conserving(rule, mode="exhaustive", max_support=length)
+        assert fields(report) == reference_conserve(rule, length)
+        report = verify.check_injective_cyclic(rule, length)
+        assert fields(report) == reference_inject(rule, length)
+
+
+@st.composite
+def random_rules(draw):
+    """A random integer-state rule, as a table and as a callable: a shift
+    (number-conserving and injective) with some entries overwritten."""
+    s = draw(st.integers(1, 5))
+    nb = draw(st.sampled_from([(-1,), (0, 1), (-1, 0), (-1, 0, 1), (1, 2), (-2, -1, 0, 1)]))
+    keys = list(itertools.product(range(s), repeat=len(nb)))
+    shift = draw(st.integers(0, len(nb) - 1))
+    table = {key: key[shift] for key in keys}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        table[key] = draw(st.integers(0, s - 1))
+    table[(0,) * len(nb)] = 0
+    return make_rule(s, nb, table, 0), make_rule(s, nb, lambda *cells: table[cells], 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_rules(), st.integers(1, 4))
+def test_random_rules_match_reference(rules, length):
+    table_form, callable_form = rules
+    assert callable_form.local_batch is None
+    lengths = [n for n in range(1, length + 1) if table_form.state_count**n <= 1024]
+    for rule in rules:
+        assert_sweeps_match(rule, lengths)
+
+
+def test_random_rules_cover_passes_and_failures():
+    # The reference comparison above is only meaningful if both verdicts
+    # occur; check it on a fixed spread of rules.
+    verdicts = set()
+    rng = random.Random(5)
+    for _ in range(40):
+        s, nb = rng.randint(2, 4), rng.choice([(-1,), (0, 1), (-1, 0, 1)])
+        keys = list(itertools.product(range(s), repeat=len(nb)))
+        table = {key: key[0] for key in keys}
+        if rng.random() < 0.5:
+            table[rng.choice(keys[1:])] = rng.randrange(s)
+        rule = make_rule(s, nb, table, 0)
+        for length in (1, 2, 3):
+            report = verify.check_number_conserving(rule, mode="exhaustive", max_support=length)
+            assert fields(report) == reference_conserve(rule, length)
+            verdicts.add(("conserve", report.passed))
+            report = verify.check_injective_cyclic(rule, length)
+            assert fields(report) == reference_inject(rule, length)
+            verdicts.add(("inject", report.passed))
+    assert verdicts == {(name, passed) for name in ("conserve", "inject") for passed in (True, False)}
+
+
+def mutated(rule, key, value):
+    """``rule`` with one entry of its reduced table, indexed by
+    (light(q-2), q-1, q0, heavy(q1) // 2|R|), replaced by ``value``."""
+    two_r = rule.code.light_modulus
+
+    def local(a, b, c, d):
+        if (a % two_r, b, c, d // two_r) == key:
+            return value
+        return rule.local(a, b, c, d)
+
+    def local_batch(cols):
+        a, b, c, d = (np.asarray(col) for col in cols)
+        out = np.array(rule.local_batch(cols))
+        out[(a % two_r == key[0]) & (b == key[1]) & (c == key[2]) & (d // two_r == key[3])] = value
+        return out
+
+    return dataclasses.replace(rule, local=local, local_batch=local_batch)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mutated_derived_rules_match_reference(seed):
+    # One entry reached by a random cyclic word of the sweep, changed.
+    rng = random.Random(seed)
+    rule = convert(example_rpca("xor") if seed % 2 else example_rpca("random", 1, 2, seed=seed))
+    s = rule.state_count
+    two_r = rule.code.light_modulus
+    word = [rng.randrange(s) for _ in range(3)]
+    x = rng.randrange(3)
+    hood = [word[(x + d) % 3] for d in rule.neighborhood]
+    key = (hood[0] % two_r, hood[1], hood[2], hood[3] // two_r)
+    bad = mutated(rule, key, (rule.local(*hood) + rng.randrange(1, s)) % s)
+    report = verify.check_number_conserving(bad, max_support=3)
+    assert not report.passed
+    assert fields(report) == reference_conserve(bad, 3)
+    for n in (1, 2, 3):
+        assert fields(verify.check_injective_cyclic(bad, n)) == reference_inject(bad, n)
+
+
+@pytest.mark.parametrize("chunk", ["1", "s", "7"])
+def test_lead_digit_splits_match_reference(monkeypatch, chunk):
+    rng = random.Random(11)
+    rules = [convert(example_rpca("random", 1, 2, seed=3))]
+    for s, nb in ((2, (-1, 0, 1)), (3, (0, 1)), (4, (-2, -1, 0, 1)), (5, (-1,))):
+        keys = list(itertools.product(range(s), repeat=len(nb)))
+        for changed in (0, 1, 2):
+            table = {key: key[-1] for key in keys}
+            for key in rng.sample(keys[1:], changed):
+                table[key] = rng.randrange(s)
+            rules.append(make_rule(s, nb, table, 0))
+            rules.append(make_rule(s, nb, lambda *cells, table=table: table[cells], 0))
+    for rule in rules:
+        s = rule.state_count
+        monkeypatch.setattr(verify, "_CHUNK", {"1": 1, "s": s, "7": 7}[chunk])
+        assert_sweeps_match(rule, [n for n in (1, 2, 3, 4) if s**n <= 1024])
+
+
+def test_grids_enumerate_words_in_lexicographic_order():
+    for s, length, chunk in itertools.product((1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 7, 30, 1 << 18)):
+        words = []
+        for first, cols in verify._grids(s, length, chunk):
+            grid = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, length)
+            assert first == len(words)
+            assert len(grid) <= max(chunk, 1)
+            words += [tuple(row) for row in grid.tolist()]
+        assert words == list(itertools.product(range(s), repeat=length))
+        assert all(verify._digits(i, s, length) == word for i, word in enumerate(words))
+
+
+def test_xor_sweeps_match_reference_at_benchmark_sizes():
+    rule = convert(example_rpca("xor"))
+    assert fields(verify.check_number_conserving(rule, max_support=4)) == reference_conserve(rule, 4)
+    assert fields(verify.check_injective_cyclic(rule, 4)) == reference_inject(rule, 4)
+
+
+def test_conserve_refuses_over_budget():
+    rule = convert(example_rpca("xor"))
+    # 16**3 finite words plus 16 + 16**2 + 16**3 cyclic ones.
+    words = 16**3 + 16 + 16**2 + 16**3
+    report = verify.check_number_conserving(rule, max_support=3, budget=words)
+    assert report.passed
+    with pytest.raises(ValueError, match=f"would step {words} words, over the budget of {words - 1};"):
+        verify.check_number_conserving(rule, max_support=3, budget=words - 1)
+    with pytest.raises(ValueError, match="over the budget of 100000000;"):
+        verify.check_number_conserving(rule, max_support=9)
+    # Sampled mode has no budget to keep.
+    assert verify.check_number_conserving(rule, mode="sampled", max_support=9, count=5, seed=1, budget=1).passed
+
+
+def test_cli_conserve_refuses_over_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "xor.rpca"
+    path.write_text(format_rpca(example_rpca("xor")))
+    assert main(["verify", str(path), "conserve", "--support", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the budget of 100000000;" in err
+    assert main(["verify", str(path), "conserve", "--support", "2", "--budget", "100"]) == 2
+    assert "would step 528 words, over the budget of 100;" in capsys.readouterr().err
+    monkeypatch.setenv("RNCCA_BUDGET", "527")
+    assert main(["verify", str(path), "conserve", "--support", "2"]) == 2
+    assert "over the budget of 527;" in capsys.readouterr().err
+    monkeypatch.setenv("RNCCA_BUDGET", "528")
+    assert main(["verify", str(path), "conserve", "--support", "2"]) == 0
+
+
+def test_conserve_counterexample_beyond_int64_word_count():
+    # 16**17 finite words: more than int64 can index, but the first
+    # chunk already fails, and the report names the failing word.
+    rule = make_rule(16, (0,), lambda x: 0, 0)
+    report = verify.check_number_conserving(rule, max_support=17, budget=10**30)
+    assert not report.passed
+    assert report.counterexample.input == verify._word_literal((0,) * 16 + (1,))
+    assert (report.counterexample.expected, report.counterexample.actual) == ("cell sum 1", "cell sum 0")
+
+
+def test_inject_turns_failed_allocation_into_value_error(monkeypatch, tmp_path, capsys):
+    zeros = np.zeros
+
+    def refuse_big(shape, *args, **kwargs):
+        if shape == 16**9:
+            raise MemoryError("cannot allocate")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_big)
+    rule = convert(example_rpca("xor"))
+    with pytest.raises(ValueError, match=f"exhaustive sweep of {16**9} words needs more memory"):
+        verify.check_injective_cyclic(rule, 9, budget=10**11)
+    path = tmp_path / "xor.rpca"
+    path.write_text(format_rpca(example_rpca("xor")))
+    assert main(["verify", str(path), "inject", "--cycle", "9", "--budget", str(10**11)]) == 2
+    assert f"exhaustive sweep of {16**9} words" in capsys.readouterr().err
+
+
+def test_inject_over_index_range_is_value_error():
+    # numpy refuses this size outright (a ValueError, not a MemoryError)
+    # without allocating anything.
+    rule = make_rule(2, (0,), lambda x: x, 0)
+    with pytest.raises(ValueError, match=f"exhaustive sweep of {2**70} words needs more memory"):
+        verify.check_injective_cyclic(rule, 70, budget=2**71)
+
+
+# Broadcast evaluation: every batch evaluator takes columns that
+# broadcast together and agrees with ``local`` on their broadcast.
+
+
+def broadcast_columns(rng, s, m):
+    """m columns of random states on distinct axes of an m-axis grid
+    (the last one 1-D), plus one full-size column."""
+    cols = [rng.integers(0, s, size=(3,) + (1,) * (m - 1 - i) if i < m - 1 else (4,)) for i in range(m)]
+    cols[rng.integers(m)] = rng.integers(0, s, size=(3,) * (m - 1) + (4,))
+    return cols
+
+
+def expected_from_local(rule, cols):
+    cols = np.broadcast_arrays(*cols)
+    flat = [rule.local(*(int(col.flat[i]) for col in cols)) for i in range(cols[0].size)]
+    return np.array(flat).reshape(cols[0].shape)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batch_evaluators_broadcast(seed):
+    rng = np.random.default_rng(seed)
+    derived = convert(example_rpca("random", 2, 2, seed=seed))
+    keys = list(itertools.product(range(3), repeat=3))
+    table = {key: int(rng.integers(3)) for key in keys}
+    table[(0, 0, 0)] = 0
+    tabled = make_rule(3, (-1, 0, 1), table, 0)
+    callable_form = make_rule(3, (-1, 0, 1), lambda *cells: table[cells], 0)
+    assert tabled.local_batch is not None and callable_form.local_batch is None
+    for rule in (derived, tabled, callable_form):
+        cols = broadcast_columns(rng, rule.state_count, len(rule.neighborhood))
+        got = verify._batch_of(rule)(cols)
+        assert got.shape == np.broadcast_shapes(*(col.shape for col in cols))
+        assert np.array_equal(got, expected_from_local(rule, cols))
+
+
+def test_sweeps_pass_only_arrays_with_an_axis():
+    # Batch evaluators may count rows as len(cols[0]); every column the
+    # sweeps pass must be an ndarray with at least one axis.
+    seen = []
+
+    def recording(rule):
+        batch = verify._batch_of(rule)
+
+        def local_batch(cols):
+            seen.extend((type(col), col.ndim) for col in cols)
+            return batch(cols)
+
+        return dataclasses.replace(rule, local_batch=local_batch)
+
+    derived = recording(convert(example_rpca("xor")))
+    shift = recording(make_rule(3, (-1,), lambda x: x, 0))
+    for rule in (derived, shift):
+        verify.check_number_conserving(rule, max_support=3)
+        verify.check_injective_cyclic(rule, 3)
+        verify.check_number_conserving(rule, mode="sampled", max_support=5, count=20, seed=1)
+        verify.check_injective_cyclic(rule, 2, mode="sampled", count=20, seed=1)
+    assert seen
+    assert all(kind is np.ndarray and ndim >= 1 for kind, ndim in seen)
