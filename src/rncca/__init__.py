@@ -41,7 +41,6 @@ from .engine import (
 from .formats import ConfigParseError, format_configuration, parse_configuration, parse_configuration_text
 from .rpca import (
     Rpca2,
-    RpcaInverse,
     RuleParseError,
     check_local_injective,
     example_rpca,

@@ -334,6 +334,8 @@ def cmd_embed(args):
     p = _load_rpca(args.rule)
     code = ParticleCode(p.c_size, p.r_size)
     config = formats.parse_configuration_text(_read(args.config))
+    if not isinstance(config, (engine.Finite, engine.Cyclic)):
+        raise ValueError("only finite and cyclic configurations can be block-encoded")
     if args.tau:
         encoded = encode_tau(code, config)
     elif args.tau_prime is not None:

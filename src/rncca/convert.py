@@ -19,7 +19,11 @@ invertible because the source table is.
 ``encode_tau`` interleaves the hat and check images of each source
 cell into a two-cell block; the derived CA then tracks the source CA
 two steps per step.  ``encode_tau_prime`` spaces the blocks out with
-quiescent cells, uniformly or per-block.
+quiescent cells, uniformly or per-block.  Both are one layout,
+``_encode``: block i is hat, check, then k - 2 (or ``gaps[i]``)
+quiescent cells, and a finite word sits on the spacing-k background
+(k = 2 for ``encode_tau``, 3 under a gap list).  ``decode`` and
+``decode_tau_prime`` share its inverse, ``_decode``.
 """
 
 from __future__ import annotations
@@ -304,11 +308,39 @@ def _reduced_table(code, p):
     return table
 
 
-def _require_pair_finite(config):
-    if not isinstance(config, Finite):
-        raise TypeError("expected a finite configuration")
-    if config.quiescent != QUIESCENT_PAIR:
-        raise ValueError("partitioned configurations use quiescent pair (0, 0)")
+def _encode(code, config, k, gaps=None):
+    """Block layout of a pair word: hat, check, then ``gaps[i]`` zeros
+    after block i (default k - 2; a cyclic word's last gap wraps round).
+    A finite word sits on the spacing-k background; after its last block
+    come zeros up to the next background block at least one cell on
+    (none when k = 2).  Callers check k and the gap values."""
+    if isinstance(config, Finite):
+        if config.quiescent != QUIESCENT_PAIR:
+            raise ValueError("partitioned configurations use quiescent pair (0, 0)")
+    elif not isinstance(config, Cyclic):
+        raise TypeError("only finite and cyclic configurations can be block-encoded")
+    word = config.word
+    n = len(word)
+    if gaps is None:
+        gaps = [k - 2] * n
+    elif isinstance(config, Finite) and len(gaps) != max(0, n - 1):
+        raise ValueError(f"need {max(0, n - 1)} gaps for {n} blocks, got {len(gaps)}")
+    elif isinstance(config, Cyclic) and len(gaps) != n:
+        raise ValueError(f"need {n} gaps for a cyclic word of {n} blocks")
+    cells = []
+    for i, pair in enumerate(word):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ValueError(f"cell {pair!r} is not a (c, r) pair")
+        if i:
+            cells += [0] * gaps[i - 1]
+        cells += [phi(code, "hat", *pair), phi(code, "check", *pair)]
+    if isinstance(config, Cyclic):
+        return Cyclic(tuple(cells + [0] * gaps[-1]))
+    if word:
+        pad = min(1, k - 2)
+        cells += [0] * (-(len(cells) + pad) % k + pad)
+    background = code.quiescent_block + (0,) * (k - 2)
+    return engine.canonicalize(BiPeriodic(background, tuple(cells), k * config.offset, background))
 
 
 def encode_tau(code, config):
@@ -319,107 +351,32 @@ def encode_tau(code, config):
     of the quiescent pair is nonzero, so the background is not
     quiescent); a cyclic word of length n becomes one of length 2n.
     """
-    if isinstance(config, Finite):
-        _require_pair_finite(config)
-        background = code.quiescent_block
-        cells = []
-        for pair in config.word:
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-        return engine.canonicalize(
-            BiPeriodic(background, tuple(cells), 2 * config.offset, background)
-        )
-    if isinstance(config, Cyclic):
-        cells = []
-        for pair in config.word:
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-        return Cyclic(tuple(cells))
-    raise TypeError("only finite and cyclic configurations can be block-encoded")
+    return _encode(code, config, 2)
 
 
-def encode_tau_prime(code, config, k=None, gaps=None, background_gap=1):
+def encode_tau_prime(code, config, k=None, gaps=None):
     """Blocks with breathing room: source cell x lands on cells
     (kx, kx+1) with k-2 quiescent cells between blocks, or with an
     explicit per-block gap list.
 
     Uniform spacing needs k >= 3 (k = 2 is exactly the plain block
     encoding).  A gap list gives the number of quiescent cells after
-    each block: length n-1 for a finite word of n cells (the
-    background keeps uniform spacing ``background_gap + 2``), length n
+    each block: length n-1 for a finite word of n cells (on the
+    spacing-3 background, blocks starting at multiples of 3), length n
     for a cyclic word (the last gap wraps around).  All gaps must be
     at least 1.
     """
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
-    hat0, check0 = code.quiescent_block
     if k is not None:
         k = int(k)
         if k < 3:
             raise ValueError("uniform spacing needs k >= 3; k = 2 is the plain block encoding")
-        if isinstance(config, Finite):
-            _require_pair_finite(config)
-            background = (hat0, check0) + (0,) * (k - 2)
-            cells = []
-            for pair in config.word:
-                cells.append(phi(code, "hat", *pair))
-                cells.append(phi(code, "check", *pair))
-                cells.extend([0] * (k - 2))
-            if cells:
-                del cells[-(k - 2):]
-            return engine.canonicalize(
-                BiPeriodic(background, tuple(cells), k * config.offset, background)
-            )
-        if isinstance(config, Cyclic):
-            cells = []
-            for pair in config.word:
-                cells.append(phi(code, "hat", *pair))
-                cells.append(phi(code, "check", *pair))
-                cells.extend([0] * (k - 2))
-            return Cyclic(tuple(cells))
-        raise TypeError("only finite and cyclic configurations can be block-encoded")
+        return _encode(code, config, k)
     gaps = [int(g) for g in gaps]
     if any(g < 1 for g in gaps):
         raise ValueError("every gap must leave at least one quiescent cell")
-    if isinstance(config, Finite):
-        _require_pair_finite(config)
-        if len(gaps) != max(0, len(config.word) - 1):
-            raise ValueError(
-                f"need {max(0, len(config.word) - 1)} gaps for {len(config.word)} blocks, got {len(gaps)}"
-            )
-        if int(background_gap) < 1:
-            raise ValueError("background gap must be at least 1")
-        k_bg = int(background_gap) + 2
-        background = (hat0, check0) + (0,) * (k_bg - 2)
-        if not config.word:
-            return BiPeriodic(background, (), 0, background)
-        cells = []
-        for i, pair in enumerate(config.word):
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-            if i < len(gaps):
-                cells.extend([0] * gaps[i])
-        start = k_bg * config.offset
-        # Pad to the next background block boundary, keeping at least
-        # one quiescent cell before the background resumes.
-        end = start + len(cells)
-        next_block = -((-(end + 1)) // k_bg) * k_bg
-        cells.extend([0] * (next_block - end))
-        return engine.canonicalize(
-            BiPeriodic(background, tuple(cells), start, background)
-        )
-    if isinstance(config, Cyclic):
-        if len(gaps) != len(config.word):
-            raise ValueError(
-                f"need {len(config.word)} gaps for a cyclic word of {len(config.word)} blocks"
-            )
-        cells = []
-        for pair, gap in zip(config.word, gaps):
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-            cells.extend([0] * gap)
-        return Cyclic(tuple(cells))
-    raise TypeError("only finite and cyclic configurations can be block-encoded")
+    return _encode(code, config, 3, gaps)
 
 
 class TauDecodeError(ValueError):
@@ -433,18 +390,50 @@ class TauDecodeError(ValueError):
 
 
 def _decode_block(code, q_hat, q_check, position):
-    heavy, light = decompose(code, q_hat)
-    if heavy >= code.hat_heavy_limit or light >= code.hat_light_limit:
-        raise TauDecodeError(f"state {q_hat} is not a hat block value", position)
-    heavy2, light2 = decompose(code, q_check)
-    if heavy2 < code.hat_heavy_limit or light2 < code.hat_light_limit:
-        raise TauDecodeError(f"state {q_check} is not a check block value", position + 1)
-    pair = phi_inverse(code, "hat", q_hat)
-    if phi_inverse(code, "check", q_check) != pair:
+    """A half outside its codomain is a decode error at its own cell; a
+    state outside the code stays the ValueError of ``decompose``."""
+    halves = []
+    for x, variant, q in ((position, "hat", q_hat), (position + 1, "check", q_check)):
+        decompose(code, q)
+        try:
+            halves.append(phi_inverse(code, variant, q))
+        except ValueError as exc:
+            raise TauDecodeError(str(exc), x) from None
+    if halves[0] != halves[1]:
         raise TauDecodeError(
             f"block halves {q_hat},{q_check} encode different cell values", position
         )
-    return pair
+    return halves[0]
+
+
+def _decode(code, config, k):
+    """Invert ``_encode`` with uniform spacing k.  A bi-periodic center is
+    read from the block boundary at or before it to its end."""
+    if isinstance(config, Cyclic):
+        cfg = config
+        if len(cfg.word) % k:
+            raise TauDecodeError(f"cyclic word length {len(cfg.word)} is not a multiple of {k}", 0)
+        start, end = 0, len(cfg.word)
+    elif isinstance(config, BiPeriodic):
+        cfg = engine.canonicalize(config)
+        background = code.quiescent_block + (0,) * (k - 2)
+        if cfg.left != background or cfg.right != background:
+            raise TauDecodeError(f"backgrounds do not match the spacing-{k} quiescent block")
+        start = cfg.center_offset - cfg.center_offset % k
+        end = cfg.center_offset + len(cfg.center)
+    else:
+        raise TauDecodeError(
+            "finite configurations are never block encodings (the background is not quiescent)"
+        )
+    pairs = []
+    for x in range(start, end, k):
+        pairs.append(_decode_block(code, engine.cell_at(cfg, x), engine.cell_at(cfg, x + 1), x))
+        for j in range(x + 2, x + k):
+            if engine.cell_at(cfg, j) != 0:
+                raise TauDecodeError(f"gap cell holds {engine.cell_at(cfg, j)}", j)
+    if isinstance(cfg, Cyclic):
+        return Cyclic(tuple(pairs))
+    return engine.canonicalize(Finite(start // k, tuple(pairs), QUIESCENT_PAIR))
 
 
 def decode(code, config):
@@ -456,41 +445,7 @@ def decode(code, config):
     not supported.  Violations of the block structure raise
     TauDecodeError with the offending cell position.
     """
-    if isinstance(config, Cyclic):
-        word = config.word
-        if len(word) % 2:
-            raise TauDecodeError(f"cyclic word length {len(word)} is odd", 0)
-        pairs = tuple(
-            _decode_block(code, word[i], word[i + 1], i) for i in range(0, len(word), 2)
-        )
-        return Cyclic(pairs)
-    if isinstance(config, BiPeriodic):
-        cfg = engine.canonicalize(config)
-        background = code.quiescent_block
-        if cfg.left != background:
-            raise TauDecodeError(
-                f"left background {cfg.left} is not the quiescent block {background}"
-            )
-        if cfg.right != background:
-            raise TauDecodeError(
-                f"right background {cfg.right} is not the quiescent block {background}"
-            )
-        start = cfg.center_offset
-        if start % 2:
-            start -= 1
-        end = cfg.center_offset + len(cfg.center)
-        if end % 2:
-            end += 1
-        pairs = tuple(
-            _decode_block(
-                code, engine.cell_at(cfg, x), engine.cell_at(cfg, x + 1), x
-            )
-            for x in range(start, end, 2)
-        )
-        return engine.canonicalize(Finite(start // 2, pairs, QUIESCENT_PAIR))
-    raise TauDecodeError(
-        "finite configurations are never block encodings (the background is not quiescent)"
-    )
+    return _decode(code, config, 2)
 
 
 def decode_tau_prime(code, config, k):
@@ -499,35 +454,4 @@ def decode_tau_prime(code, config, k):
     k = int(k)
     if k < 3:
         raise ValueError("uniform spacing needs k >= 3")
-    hat0, check0 = code.quiescent_block
-    background = (hat0, check0) + (0,) * (k - 2)
-    if isinstance(config, Cyclic):
-        word = config.word
-        if len(word) % k:
-            raise TauDecodeError(f"cyclic word length {len(word)} is not a multiple of {k}", 0)
-        pairs = []
-        for i in range(0, len(word), k):
-            pairs.append(_decode_block(code, word[i], word[i + 1], i))
-            for j in range(i + 2, i + k):
-                if word[j] != 0:
-                    raise TauDecodeError(f"gap cell holds {word[j]}", j)
-        return Cyclic(tuple(pairs))
-    if isinstance(config, BiPeriodic):
-        cfg = engine.canonicalize(config)
-        if cfg.left != background or cfg.right != background:
-            raise TauDecodeError(f"backgrounds do not match the spacing-{k} quiescent block")
-        start = cfg.center_offset - cfg.center_offset % k
-        end = cfg.center_offset + len(cfg.center)
-        end = -((-end) // k) * k
-        pairs = []
-        for x in range(start, end, k):
-            pairs.append(
-                _decode_block(code, engine.cell_at(cfg, x), engine.cell_at(cfg, x + 1), x)
-            )
-            for j in range(x + 2, x + k):
-                if engine.cell_at(cfg, j) != 0:
-                    raise TauDecodeError(f"gap cell holds {engine.cell_at(cfg, j)}", j)
-        return engine.canonicalize(Finite(start // k, tuple(pairs), QUIESCENT_PAIR))
-    raise TauDecodeError(
-        "finite configurations are never block encodings (the background is not quiescent)"
-    )
+    return _decode(code, config, k)

@@ -24,7 +24,6 @@ from .engine import BiPeriodic, Cyclic, Finite
 
 __all__ = [
     "Rpca2",
-    "RpcaInverse",
     "RuleParseError",
     "make_rpca",
     "check_local_injective",
@@ -58,9 +57,6 @@ class Rpca2:
     @property
     def state_count(self):
         return self.c_size * self.r_size
-
-    def apply(self, c, r):
-        return self.table[c][r]
 
 
 class RuleParseError(ValueError):
@@ -154,7 +150,7 @@ def step_rpca(p, config):
     return engine.step(_forward_rule(p), config)
 
 
-class RpcaInverse:
+class _RpcaInverse:
     """Backward stepper for a reversible table.
 
     Undoing a step inverts the table cell-wise and then routes the
@@ -182,8 +178,9 @@ class RpcaInverse:
 
 
 def invert_rpca(p):
-    """Return a backward stepper; rejects non-injective tables."""
-    return RpcaInverse(p)
+    """Return a backward stepper (``step_back(config)``); rejects
+    non-injective tables."""
+    return _RpcaInverse(p)
 
 
 def _fisher_yates(items, seed):

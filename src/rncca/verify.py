@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .convert import convert, encode_tau, encode_tau_prime, heavy_part, light_part, phi
+from .convert import _encode, convert, encode_tau_prime, heavy_part, light_part
 from .engine import Cyclic, Finite, Trajectory, cell_at, window_growth
 from .formats import format_configuration
 from .rpca import QUIESCENT_PAIR, step_rpca
@@ -434,12 +434,11 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     ``words`` holds one start per row, as from ``_start_rows``.  Returns
     ``bad`` with ``bad[i, t - 1, j]`` true when, for start j, the derived
     configuration after ``periods[i] * t`` steps differs from the
-    spacing-k block encoding (``encode_tau`` for k = 2, else
-    ``encode_tau_prime``) of the source after t steps.  With the padding
-    of ``_padding``, each compared row ends in a whole block of k cells
-    beyond the light cone and the encoded source on each side; past
-    those, both configurations are pinned k-periodic, so rows are equal
-    exactly when the canonical configurations are.
+    spacing-k block encoding (``convert._encode``) of the source after t
+    steps.  With the padding of ``_padding``, each compared row ends in a
+    whole block of k cells beyond the light cone and the encoded source
+    on each side; past those, both configurations are pinned k-periodic,
+    so rows are equal exactly when the canonical configurations are.
     """
     code = rule.code
     pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
@@ -447,7 +446,7 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     table = np.array([c * p.r_size + r for c, r in (p.table[c][r] for c, r in pairs)], dtype=np.intp)
     # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
     blocks = np.array(
-        [[phi(code, "hat", c, r), phi(code, "check", c, r)] + [0] * (k - 2) for c, r in pairs],
+        [_encode(code, Cyclic((pair,)), k).word for pair in pairs],
         dtype=np.min_scalar_type(code.state_count - 1),
     )
     horizon = max(periods) * steps
@@ -489,18 +488,13 @@ def _track_start(p, rule, k, codes, periods, steps):
     periods q whose q derived steps track every source step and, when
     none does, the counterexample: the first t at which k derived steps
     per source step miss."""
-    code = rule.code
-
-    def encode(config):
-        return encode_tau(code, config) if k == 2 else encode_tau_prime(code, config, k=k)
-
     word = tuple(divmod(int(v), p.r_size) for v in codes)
     alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
-    encoded = [encode(alpha)]
+    encoded = [_encode(rule.code, alpha, k)]
     source = alpha
     for _ in range(steps):
         source = step_rpca(p, source)
-        encoded.append(encode(source))
+        encoded.append(_encode(rule.code, source, k))
     trajectory = [encoded[0]]
     for _ in range(max(periods) * steps):
         trajectory.append(engine.step(rule, trajectory[-1]))
