@@ -13,6 +13,7 @@ sweep budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -62,48 +63,62 @@ def _gray(value, state_count):
     return 255 * value // (state_count - 1)
 
 
+def _labeller(fmt, state_count):
+    """The label of one cell value in format ``fmt``."""
+    if fmt == "text":
+        width = len(str(state_count - 1))
+        return lambda value: str(value).rjust(width)
+    if fmt == "pgm":
+        return lambda value: str(_gray(value, state_count))
+    return str
+
+
 def render(trajectory, spec):
     """Render a trajectory to text, PGM (P2), or CSV.  Rows are time
     steps, t = 0 on top; output is a pure function of the inputs."""
     s = trajectory.rule.state_count
-    if spec.format == "text":
-        width = len(str(s - 1))
-
-        def label(value):
-            return str(value).rjust(width)
-
-    elif spec.format == "pgm":
-
-        def label(value):
-            return str(_gray(value, s))
-
+    label = _labeller(spec.format, s)
+    rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
+    matrix = _state_matrix(rows, s or 0)
+    if matrix is None:
+        # Stepping range-checks every cell an integer-state rule reads,
+        # so only an unstepped start can hold a cell outside its states.
+        # Such a trajectory, like one of a rule over non-integer cells,
+        # is labelled cell by cell.
+        labelled = [[label(value) for value in row] for row in rows]
+    elif spec.format == "text":
+        # Text labels share one width: gather each with a trailing space
+        # from a fixed-width byte table, and end every row with a newline.
+        table = np.array([label(q) + " " for q in range(s)], dtype=bytes)
+        text = table[matrix].view(np.uint8)
+        text[:, -1] = ord("\n")
+        return text.tobytes().decode("ascii")
     else:
-        label = str
-    # Rules over non-integer cells (state_count None) get no labels; their
-    # cells are labelled one by one.
-    labels = np.array([label(q) for q in range(s or 0)], dtype=object)
-    rows = [
-        _row_labels(engine.window_cells(cfg, spec.x_min, spec.x_max), labels, label)
-        for cfg in trajectory.configs
-    ]
+        labelled = np.array([label(q) for q in range(s)], dtype=object)[matrix].tolist()
     if spec.format == "csv":
         xs = range(spec.x_min, spec.x_max + 1)
         lines = ["t,x,state"]
-        lines += [f"{t},{x},{cell}" for t, row in enumerate(rows) for x, cell in zip(xs, row)]
+        lines += [f"{t},{x},{cell}" for t, row in enumerate(labelled) for x, cell in zip(xs, row)]
     else:
-        lines = [" ".join(row) for row in rows]
+        lines = [" ".join(row) for row in labelled]
         if spec.format == "pgm":
             lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(rows)}", "255"] + lines
     return "\n".join(lines) + "\n"
 
 
-def _row_labels(cells, labels, label):
-    """Labels of one row of cells.  A row with cells outside the rule's
-    states (possible only in an unstepped start) is labelled cell by cell."""
-    row = np.asarray(cells)
-    if row.ndim == 1 and row.dtype.kind in "iu" and row.min() >= 0 and row.max() < len(labels):
-        return labels[row].tolist()
-    return [label(value) for value in cells]
+def _state_matrix(rows, state_count):
+    """``rows`` as one integer matrix, or None unless every cell is a
+    state 0..state_count - 1.  Stepped rows hold plain ints, so only the
+    start row's cell types need a look."""
+    if not set(map(type, rows[0])) <= {int}:
+        return None
+    try:
+        matrix = np.array(rows, dtype=np.intp)
+    except (OverflowError, ValueError):
+        return None
+    if matrix.min() < 0 or matrix.max() >= state_count:
+        return None
+    return matrix
 
 
 def _write(text, out_path):
@@ -131,42 +146,89 @@ class NccaParseError(ValueError):
 
 def _parse_ncca(text):
     """Parse a derived-rule file; a full transition-table dump is
-    required to make it runnable."""
+    required to make it runnable.
+
+    Transition lines in the form ``convert --dump-table`` writes are
+    read all at once by ``_dump_lines``; every other line is read in
+    order by ``_ncca_line``, whose errors name the line.
+    """
+    lines = text.splitlines()
+    dumped, numbers = _dump_lines(lines)
+    first_dumped = int(dumped.argmax()) if dumped.any() else len(lines)
     header = None
-    table = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if tokens[0] != "ncca":
-                raise NccaParseError("expected an 'ncca ...' header", line_no)
-            fields = dict(token.split("=", 1) for token in tokens[1:] if "=" in token)
-            try:
-                header = int(fields["states"])
-            except (KeyError, ValueError):
-                raise NccaParseError("header must carry states=<int>", line_no) from None
-            continue
-        if tokens[0] in ("bc", "br"):
-            continue
-        if tokens[0] == "t":
-            if len(tokens) != 7 or tokens[5] != "->":
-                raise NccaParseError("expected 't a b c d -> q'", line_no)
-            try:
-                key = tuple(int(v) for v in tokens[1:5])
-                table[key] = int(tokens[6])
-            except ValueError:
-                raise NccaParseError("transition fields must be integers", line_no) from None
-            continue
-        raise NccaParseError(f"unknown line kind {tokens[0]!r}", line_no)
+    others = []  # (line index, key, output) of transition lines read one by one
+    for i in np.flatnonzero(~dumped).tolist():
+        if header is None and i > first_dumped:
+            break
+        header = _ncca_line(lines[i], i + 1, header, others)
     if header is None:
+        if first_dumped < len(lines):
+            raise NccaParseError("expected an 'ncca ...' header", first_dumped + 1)
         raise NccaParseError("missing 'ncca ...' header", 1)
-    if not table:
+    keys, outputs = numbers[:, :4], numbers[:, 4]
+    if others:
+        at = np.concatenate([np.flatnonzero(dumped), [i for i, _, _ in others]])
+        order = np.argsort(at, kind="stable")
+        keys = np.concatenate([keys, np.array([key for _, key, _ in others]).reshape(-1, 4)])[order]
+        outputs = np.concatenate([outputs, np.array([q for _, _, q in others])])[order]
+    if not len(outputs):
         raise NccaParseError(
             "no transition table; re-run convert with --dump-table to make the file runnable", 1
         )
-    return engine.make_rule(header, NEIGHBORHOOD, table, 0)
+    return engine.make_rule(header, NEIGHBORHOOD, (keys, outputs), 0)
+
+
+def _ncca_line(raw, line_no, header, transitions):
+    """Read one line of an ncca file: the header (returns its state
+    count), a comment, a balanced-pair line, or a transition, which is
+    appended to ``transitions``.  Returns the header's state count."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return header
+    tokens = line.split()
+    if header is None:
+        if tokens[0] != "ncca":
+            raise NccaParseError("expected an 'ncca ...' header", line_no)
+        fields = dict(token.split("=", 1) for token in tokens[1:] if "=" in token)
+        try:
+            return int(fields["states"])
+        except (KeyError, ValueError):
+            raise NccaParseError("header must carry states=<int>", line_no) from None
+    if tokens[0] in ("bc", "br"):
+        return header
+    if tokens[0] == "t":
+        if len(tokens) != 7 or tokens[5] != "->":
+            raise NccaParseError("expected 't a b c d -> q'", line_no)
+        try:
+            transitions.append((line_no - 1, tuple(int(v) for v in tokens[1:5]), int(tokens[6])))
+        except ValueError:
+            raise NccaParseError("transition fields must be integers", line_no) from None
+        return header
+    raise NccaParseError(f"unknown line kind {tokens[0]!r}", line_no)
+
+
+def _dump_lines(lines):
+    """Which lines read exactly ``t a b c d -> q`` with a, b, c, d, q of
+    one or two ASCII digits, as ``convert --dump-table`` writes them (it
+    refuses above 2**22 transitions, so 45 states), and the five numbers
+    of those lines.  One cursor per line steps through every line at once."""
+    raw = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    # Zero bytes past the end keep every cursor in bounds.
+    data = np.frombuffer(raw + bytes(24), dtype=np.uint8)
+    cursor = np.concatenate([[0], np.flatnonzero(data == ord("\n")) + 1])[: len(lines)]
+    dumped = np.ones(len(lines), dtype=bool)
+    numbers = np.empty((len(lines), 5), dtype=np.int64)
+    for k, before in enumerate((b"t ", b" ", b" ", b" ", b" -> ")):
+        for char in before:
+            dumped &= data[cursor] == char
+            cursor += 1
+        first, second = data[cursor] - ord("0"), data[cursor + 1] - ord("0")
+        dumped &= first < 10
+        two = second < 10
+        numbers[:, k] = np.where(two, first * 10 + second, first)
+        cursor += 1 + two
+    dumped &= data[cursor] == ord("\n")
+    return dumped, numbers[dumped]
 
 
 def _load_int_rule(path):
@@ -346,7 +408,10 @@ def cmd_embed(args):
     return 0
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: argparse keeps no
+    state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="rncca",
         description="Build, run, and verify number-conserving reversible cellular automata",
@@ -401,9 +466,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

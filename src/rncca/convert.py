@@ -327,20 +327,44 @@ def _encode(code, config, k, gaps=None):
         raise ValueError(f"need {max(0, n - 1)} gaps for {n} blocks, got {len(gaps)}")
     elif isinstance(config, Cyclic) and len(gaps) != n:
         raise ValueError(f"need {n} gaps for a cyclic word of {n} blocks")
-    cells = []
-    for i, pair in enumerate(word):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise ValueError(f"cell {pair!r} is not a (c, r) pair")
-        if i:
-            cells += [0] * gaps[i - 1]
-        cells += [phi(code, "hat", *pair), phi(code, "check", *pair)]
+    blocks = np.array(_block_values(code, word), dtype=np.intp).reshape(n, 2)
+    # Block i starts after i blocks and the gaps before it.
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(np.asarray(gaps[: n - 1], dtype=np.intp) + 2, out=starts[1:])
+    length = int(starts[-1]) + 2 if n else 0
     if isinstance(config, Cyclic):
-        return Cyclic(tuple(cells + [0] * gaps[-1]))
-    if word:
+        length += gaps[-1]
+    elif n:
         pad = min(1, k - 2)
-        cells += [0] * (-(len(cells) + pad) % k + pad)
+        length += -(length + pad) % k + pad
+    cells = np.zeros(length, dtype=np.intp)
+    cells[starts] = blocks[:, 0]
+    cells[starts + 1] = blocks[:, 1]
+    if isinstance(config, Cyclic):
+        return Cyclic(tuple(cells.tolist()))
     background = code.quiescent_block + (0,) * (k - 2)
-    return engine.canonicalize(BiPeriodic(background, tuple(cells), k * config.offset, background))
+    return engine.canonicalize(BiPeriodic(background, tuple(cells.tolist()), k * config.offset, background))
+
+
+def _block_values(code, word):
+    """The (hat, check) block of every pair in ``word``, read from one
+    (|C|, |R|) block table.  A cell outside the table raises the error
+    ``phi`` gives it."""
+    blocks = {
+        (c, r): (phi(code, "hat", c, r), phi(code, "check", c, r))
+        for c in range(code.c_size)
+        for r in range(code.r_size)
+    }
+    values = []
+    for pair in word:
+        block = blocks.get(pair) if isinstance(pair, tuple) else None
+        if block is None:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValueError(f"cell {pair!r} is not a (c, r) pair")
+            phi(code, "hat", *pair)
+            raise ValueError(f"cell {pair!r} is not a (c, r) pair of integers")
+        values.append(block)
+    return values
 
 
 def encode_tau(code, config):
@@ -390,11 +414,10 @@ class TauDecodeError(ValueError):
 
 
 def _decode_block(code, q_hat, q_check, position):
-    """A half outside its codomain is a decode error at its own cell; a
-    state outside the code stays the ValueError of ``decompose``."""
+    """A state outside the code, or a half outside its codomain, is a
+    decode error at its own cell."""
     halves = []
     for x, variant, q in ((position, "hat", q_hat), (position + 1, "check", q_check)):
-        decompose(code, q)
         try:
             halves.append(phi_inverse(code, variant, q))
         except ValueError as exc:

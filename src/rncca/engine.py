@@ -41,11 +41,6 @@ __all__ = [
     "window_growth",
 ]
 
-# Flat numpy lookup tables for batch evaluation are built only below
-# this many entries; larger rules stay computed on demand.
-_BATCH_TABLE_LIMIT = 1 << 22
-
-
 @dataclass(frozen=True)
 class Rule:
     """A synchronous local update rule.
@@ -127,11 +122,12 @@ class Trajectory:
 def make_rule(state_count, neighborhood, local_map, quiescent):
     """Build an integer-state rule, validating the quiescent fixed point.
 
-    ``local_map`` is either a callable on m states or a mapping that
-    covers every m-tuple of states.  Mappings are checked for totality
-    and output range and get a flat-table batch evaluator when small
-    enough; callables are trusted on range except at the all-quiescent
-    tuple.
+    ``local_map`` is a callable on m states, a mapping that covers every
+    m-tuple of states, or a pair ``(keys, outputs)``: an n x m array of
+    neighborhoods and their n outputs, read like the mapping built from
+    them in order.  Tables are checked for totality and output range and
+    are evaluated from one flat numpy table, scalar and batch; callables
+    are trusted on range except at the all-quiescent tuple.
     """
     nb = tuple(int(n) for n in neighborhood)
     if not nb:
@@ -148,41 +144,79 @@ def make_rule(state_count, neighborhood, local_map, quiescent):
     if callable(local_map):
         local = local_map
     else:
-        table = {}
-        for key, value in dict(local_map).items():
-            if not isinstance(key, tuple):
-                raise ValueError(f"local map keys must be {m}-tuples, got {key!r}")
-            table[key] = int(value)
-        if len(table) != s**m:
-            raise ValueError(
-                f"local map must cover all {s ** m} neighborhoods, got {len(table)}"
-            )
-        for key, value in table.items():
-            if len(key) != m or any(not (0 <= x < s) for x in key):
-                raise ValueError(f"neighborhood key {key} out of range")
-            if not 0 <= value < s:
-                raise ValueError(f"output {value} for neighborhood {key} out of range")
+        keys, outputs = local_map if isinstance(local_map, tuple) else _mapping_entries(local_map, s, m)
+        flat = _flat_table(s, m, np.asarray(keys).reshape(-1, m), np.asarray(outputs))
+        cells = memoryview(flat)
 
-        def local(*cells, _table=table):
-            return _table[cells]
+        def local(*hood, _cells=cells, _s=s):
+            idx = 0
+            for x in hood:
+                if not 0 <= x < _s:
+                    raise KeyError(hood)
+                idx = idx * _s + x
+            return _cells[idx]
 
-        if s**m <= _BATCH_TABLE_LIMIT:
-            flat = np.zeros(s**m, dtype=np.int64)
-            for key, value in table.items():
-                idx = 0
-                for x in key:
-                    idx = idx * s + x
-                flat[idx] = value
-
-            def batch(cols, _flat=flat, _s=s):
-                idx = cols[0].astype(np.int64)
-                for col in cols[1:]:
-                    idx = idx * _s + col
-                return _flat[idx]
+        def batch(cols, _flat=flat, _s=s):
+            idx = cols[0].astype(np.int64)
+            for col in cols[1:]:
+                idx = idx * _s + col
+            return _flat[idx]
 
     if local(*([quiescent] * m)) != quiescent:
         raise ValueError("quiescent state must map to itself on the all-quiescent neighborhood")
     return Rule(s, nb, local, quiescent, batch)
+
+
+def _mapping_entries(local_map, s, m):
+    """The keys and outputs of a mapping, in order."""
+    table = {}
+    for key, value in dict(local_map).items():
+        if not isinstance(key, tuple):
+            raise ValueError(f"local map keys must be {m}-tuples, got {key!r}")
+        table[key] = int(value)
+    integral = (int, np.integer)
+    bad = next((key for key in table if len(key) != m or not all(isinstance(x, integral) for x in key)), None)
+    if bad is not None:
+        if len(table) != s**m:
+            raise ValueError(f"local map must cover all {s ** m} neighborhoods, got {len(table)}")
+        raise ValueError(f"neighborhood key {bad} out of range")
+    return list(table), list(table.values())
+
+
+def _flat_table(s, m, keys, outputs):
+    """The s**m outputs, in neighborhood order, of a table given as
+    ``keys`` (n x m) and ``outputs``, read like the dict built from them:
+    a repeated key keeps its first place and its last output.
+
+    Raises make_rule's totality error, then its range error for the first
+    key in that order that is out of range or maps out of range.
+    """
+    size = s**m
+    if size > len(keys):
+        distinct = len(set(map(tuple, keys.tolist())))
+        raise ValueError(f"local map must cover all {size} neighborhoods, got {distinct}")
+    inside = ((keys >= 0) & (keys < s)).all(axis=1)
+    idx = keys[inside].astype(np.int64) @ (s ** np.arange(m - 1, -1, -1)).astype(np.int64)
+    order = np.argsort(idx, kind="stable")
+    starts = np.ones(len(idx), dtype=bool)
+    starts[1:] = idx[order[1:]] != idx[order[:-1]]
+    outside = np.flatnonzero(~inside)
+    distinct = int(starts.sum()) + len(set(map(tuple, keys[outside].tolist())))
+    if distinct != size:
+        raise ValueError(f"local map must cover all {size} neighborhoods, got {distinct}")
+    where = np.flatnonzero(inside)
+    first = where[order[starts]]
+    values = outputs[where[order[np.roll(starts, -1)]]]  # each key's last output
+    mapped_out = first[(values < 0) | (values >= s)]
+    if outside.size or mapped_out.size:
+        p = int(np.concatenate([outside[:1], mapped_out]).min())
+        key = tuple(keys[p].tolist())
+        if not inside[p]:
+            raise ValueError(f"neighborhood key {key} out of range")
+        raise ValueError(f"output {values[first == p][0]} for neighborhood {key} out of range")
+    flat = np.empty(size, dtype=np.int64)
+    flat[idx[order[starts]]] = values
+    return flat
 
 
 def window_growth(neighborhood):
@@ -420,21 +454,25 @@ def _pinned_cells(word, start, stop):
 def _run_rows(rule, cfg, steps):
     """The canonical configurations at t = 1..steps, stepped as numpy rows.
 
-    Cyclic words step as rings.  Otherwise the start is padded once to
-    the light cone of ``steps`` plus one background period per side;
-    each step then loses (max - min offset) cells, and at every t the
-    row still holds the whole center with at least one background
-    period beyond it on each side, from which the stepped backgrounds
-    are read.
+    Cyclic words step as rings, padded by their wrapped cells with one
+    gather per step.  Otherwise the start is padded once to the light
+    cone of ``steps`` plus one background period per side; each step
+    then loses (max - min offset) cells, and at every t the row still
+    holds the whole center with at least one background period beyond
+    it on each side, from which the stepped backgrounds are read.
     """
     nb = rule.neighborhood
     batch = rule.local_batch
+    lo, hi = min(nb), max(nb)
     if isinstance(cfg, Cyclic):
         _check_int_states(rule, cfg.word)
         row = np.array(cfg.word, dtype=np.intp)
+        n = len(row)
+        ring = np.arange(lo, n + hi) % n
         out = []
         for _ in range(steps):
-            row = batch([np.roll(row, -d) for d in nb])
+            padded = row[ring]
+            row = batch([padded[d - lo : d - lo + n] for d in nb])
             out.append(Cyclic(tuple(row.tolist())))
         return out
     if isinstance(cfg, Finite):
@@ -449,11 +487,10 @@ def _run_rows(rule, cfg, steps):
         _check_int_states(rule, cfg.right)
         c0, c1 = cfg.center_offset, cfg.center_offset + len(cfg.center)
         nl, nr = len(cfg.left), len(cfg.right)
-    lo, hi = min(nb), max(nb)
     wl, wr = window_growth(nb)
     start = c0 - nl - (wl - lo) * steps
     row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
-    primitive = {}
+    primitive, tiles = {}, {}
     out = []
     for _ in range(steps):
         width = len(row) - (hi - lo)
@@ -464,7 +501,7 @@ def _run_rows(rule, cfg, steps):
             continue
         left = _background(row[:nl], start, primitive)
         right = _background(row[-nr:], start + width - nr, primitive)
-        out.append(_biperiodic_from_row(row, start, left, right))
+        out.append(_biperiodic_from_row(row, start, left, right, tiles))
     return out
 
 
@@ -472,7 +509,9 @@ def _background(cells, x0, primitive):
     """The primitive pinned word of a background whose cells at x0,
     x0 + 1, ... are ``cells`` (one full period); ``primitive`` caches
     the reduction by word."""
-    word = tuple(np.roll(cells, x0 % len(cells)).tolist())
+    cells = cells.tolist()
+    k = -x0 % len(cells)
+    word = tuple(cells[k:] + cells[:k])
     if word not in primitive:
         primitive[word] = _primitive_pinned(word)
     return primitive[word]
@@ -486,15 +525,24 @@ def _finite_from_row(row, start, q):
     return Finite(start + i, tuple(row[i:j].tolist()), q)
 
 
-def _biperiodic_from_row(row, start, left, right):
+def _biperiodic_from_row(row, start, left, right, tiles):
     """Canonical form of a row whose cells left of the center follow the
-    pinned word ``left`` and those right of it ``right``."""
-    xs = np.arange(start, start + len(row))
-    off_left = np.flatnonzero(row != np.array(left)[xs % len(left)])
-    off_right = np.flatnonzero(row != np.array(right)[xs % len(right)])
-    i = int(off_left[0]) if off_left.size else len(row)
-    j = int(off_right[-1]) + 1 if off_right.size else 0
+    pinned word ``left`` and those right of it ``right``.  ``tiles``
+    caches each word repeated over at least one period past the row, so
+    the background under the row is one slice."""
+    n = len(row)
+    off_left = row != _tile(left, n, tiles)[start % len(left) :][:n]
+    off_right = row != _tile(right, n, tiles)[start % len(right) :][:n]
+    i = int(off_left.argmax()) if off_left.any() else n
+    j = n - int(off_right[::-1].argmax()) if off_right.any() else 0
     if i < j:
         return BiPeriodic(left, tuple(row[i:j].tolist()), start + i, right)
     # Empty center: every cell from start + i on follows ``right``.
     return _canonicalize_biperiodic(BiPeriodic(left, (), start + i, right))
+
+
+def _tile(word, n, tiles):
+    tile = tiles.get(word)
+    if tile is None or len(tile) < n + len(word):
+        tile = tiles[word] = np.resize(np.array(word, dtype=np.intp), n + len(word))
+    return tile

@@ -14,6 +14,8 @@ an equal configuration.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .engine import BiPeriodic, Cyclic, Finite
 
 __all__ = [
@@ -39,7 +41,9 @@ def _cell_text(cell):
 
 
 def _cells_text(cells):
-    return ",".join(_cell_text(cell) for cell in cells)
+    if set(map(type, cells)) <= {int}:
+        return ",".join(map(str, cells))
+    return ",".join(map(_cell_text, cells))
 
 
 def format_configuration(config):
@@ -74,28 +78,29 @@ def _parse_cell(text, line):
         raise ConfigParseError(f"bad cell literal {text!r}", line) from None
 
 
+def _split_cells(text, line):
+    """The cells of a comma-separated list.  A comma inside parentheses
+    belongs to its cell; the depth of every character is one cumulative
+    sum over the text."""
+    if "(" not in text and ")" not in text:
+        return text.split(",")
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    depth = np.cumsum((chars == ord("(")).astype(np.intp) - (chars == ord(")")))
+    if depth.min() < 0 or depth[-1]:
+        raise ConfigParseError("unbalanced parentheses in cell list", line)
+    cuts = np.flatnonzero((chars == ord(",")) & (depth == 0)).tolist()
+    return [text[i + 1 : j] for i, j in zip([-1, *cuts], [*cuts, len(text)])]
+
+
 def _parse_cells(text, line):
     if not text:
         return ()
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ConfigParseError("unbalanced parentheses in cell list", line)
-        current.append(ch)
-    if depth != 0:
-        raise ConfigParseError("unbalanced parentheses in cell list", line)
-    parts.append("".join(current))
-    return tuple(_parse_cell(part, line) for part in parts)
+    parts = _split_cells(text, line)
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        # Pair literals, or a bad cell: the first one raises its own message.
+        return tuple(_parse_cell(part, line) for part in parts)
 
 
 def parse_configuration(text, line=1):

@@ -6,7 +6,8 @@
 spacing-k block layout (or read it back) on its own, once per shape.
 The codec must give the same configuration, or raise the same exception
 type at the same cell, with the same message apart from the documented
-k = 2 rewording and the documented refusal of cells that are not pairs.
+k = 2 rewording, the documented refusal of cells that are not pairs, and
+the documented decode error for a state outside the code.
 """
 
 import itertools
@@ -377,6 +378,17 @@ def corrupt(rng, code, cfg, k):
     return BiPeriodic(left, center, offset, right)
 
 
+def first_out_of_range(code, cfg, k):
+    """The first cell, in decode order, holding a state outside the code."""
+    if isinstance(cfg, Cyclic):
+        cells = enumerate(cfg.word)
+    else:
+        cfg = engine.canonicalize(cfg)
+        start = cfg.center_offset - cfg.center_offset % k
+        cells = ((x, engine.cell_at(cfg, x)) for x in itertools.count(start))
+    return next(x for x, q in cells if not 0 <= q < code.state_count)
+
+
 @pytest.mark.parametrize("code", CODES, ids=["2x2", "2x3", "3x4"])
 def test_random_valid_and_corrupted_decodes_match(code):
     rng = random.Random(7 + code.c_size * 10 + code.r_size)
@@ -390,14 +402,36 @@ def test_random_valid_and_corrupted_decodes_match(code):
         cfg = corrupt(rng, code, encoded, k)
         new, ref = decoders(k)
         got = outcome(new, code, cfg)
-        assert got == reworded(outcome(ref, code, cfg), k), (k, cfg)
+        expected = reworded(outcome(ref, code, cfg), k)
+        if expected[0] is ValueError:
+            # The parent let a state outside the code escape as the plain
+            # ValueError of ``decompose``; it is now a decode error at its cell.
+            x = first_out_of_range(code, cfg, k)
+            expected = (TauDecodeError, f"cell {x}: {expected[1]}", x)
+            seen.add("out of range")
+        assert got == expected, (k, cfg)
         seen.add(got[0] if got[0] == "ok" else (got[0], got[2] is None))
-    # The domain reaches valid encodings and decode errors with and without a cell.
-    # Out-of-range states stay the plain ValueError of ``decompose``.
-    assert {"ok", (TauDecodeError, False), (TauDecodeError, True), (ValueError, True)} <= seen
+    # The domain reaches valid encodings, decode errors with and without a
+    # cell, and states outside the code.
+    assert {"ok", (TauDecodeError, False), (TauDecodeError, True), "out of range"} <= seen
     assert outcome(decode, code, Finite(0, [5], 0)) == reworded(
         outcome(reference_decode, code, Finite(0, [5], 0)), 2
     )
+
+
+def test_state_outside_the_code_is_a_decode_error_at_its_cell():
+    code = CODES[0]
+    cases = [
+        (decode, Cyclic([0, 15, 16, 15]), 2, "state 16 out of range for 16 states"),
+        (decode, Cyclic([0, -1]), 1, "state -1 out of range for 16 states"),
+        (decode, BiPeriodic([0, 15], [5, 99], 0, [0, 15]), 1, "state 99 out of range for 16 states"),
+        (lambda c, cfg: decode_tau_prime(c, cfg, 3), Cyclic([20, 15, 0]), 0, "state 20 out of range for 16 states"),
+    ]
+    for fn, cfg, position, message in cases:
+        with pytest.raises(TauDecodeError) as err:
+            fn(code, cfg)
+        assert err.value.position == position
+        assert str(err.value) == f"cell {position}: {message}"
 
 
 def test_k2_decode_messages_use_the_spacing_k_wording():

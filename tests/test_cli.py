@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rncca.cli import RenderSpec, main, render
@@ -301,3 +307,41 @@ def test_verify_rejects_empty_domains(xor_rule, capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "must be at least 1" in captured.err
+
+
+def test_main_calls_in_one_process_match_fresh_processes(xor_rule, tau_config, tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process; a call must not see
+    what an earlier call in the same process parsed or printed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": src}
+    monkeypatch.setenv("COLUMNS", "80")
+    source = tmp_path / "pairs.cfg"
+    source.write_text("finite q#=(0,0) @0: (1,1),(0,1)\n")
+    calls = [
+        ["frobnicate"],
+        ["run", "--help"],
+        ["run", xor_rule, tau_config, "--steps", "3"],
+        ["run", xor_rule, tau_config, "--steps", "2", "--window", "-2", "3", "--format", "csv"],
+        ["embed", xor_rule, str(source), "--tau-prime", "3"],
+        ["embed", xor_rule, str(source)],
+        ["verify", xor_rule, "conserve", "--support", "3"],
+        ["--help"],
+    ]
+    alone = []
+    for argv in calls:
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from rncca.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        alone.append((child.returncode, child.stdout, child.stderr))
+    for argv, expected in list(zip(calls, alone)) * 2:
+        code = main(argv)
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err)
+        if argv[0] == "verify":
+            # Only the elapsed time may differ between the two runs.
+            got, expected = (
+                tuple(re.sub(r"elapsed_ms=\S+", "", str(part)) for part in outcome)
+                for outcome in (got, expected)
+            )
+        assert got == expected, argv

@@ -3,13 +3,18 @@ output must stay byte-identical to the per-cell renderer kept here."""
 
 import pytest
 
+import itertools
+
 from rncca.cli import RenderSpec, _default_window, render
-from rncca.convert import ParticleCode, convert, encode_tau_prime
-from rncca.engine import Cyclic, Finite, cell_at, run
+from rncca.convert import ParticleCode, convert, encode_tau, encode_tau_prime
+from rncca.engine import BiPeriodic, Cyclic, Finite, cell_at, make_rule, run
 from rncca.rpca import QUIESCENT_PAIR, example_rpca
 
 XOR_RULE = convert(example_rpca("xor"))
 RULE_2X3 = convert(example_rpca("random", 2, 3, seed=1))
+# 112 states: text labels three characters wide.
+RULE_4X7 = convert(example_rpca("random", 4, 7, seed=2))
+ONE_STATE = make_rule(1, (-2, -1, 0, 1), {hood: 0 for hood in itertools.product([0], repeat=4)}, 0)
 
 
 def per_cell_render(trajectory, spec):
@@ -51,6 +56,15 @@ TRAJECTORIES = {
         ),
         7,
     ),
+    "one-state": (ONE_STATE, Finite(0, [], 0), 3),
+    "112-states": (
+        RULE_4X7,
+        encode_tau(ParticleCode(4, 7), Finite(0, [(3, 6), (0, 1), (2, 5)], QUIESCENT_PAIR)),
+        6,
+    ),
+    # Unstepped starts may hold cells outside the rule's states.
+    "unstepped-out-of-range": (XOR_RULE, Finite(-1, [5, 300, -1, 15], 0), 0),
+    "unstepped-biperiodic": (XOR_RULE, BiPeriodic([0, 15], [16, 3], 1, [0, 15]), 0),
 }
 
 
@@ -60,7 +74,16 @@ def test_render_matches_per_cell_renderer(name, fmt):
     rule, config, steps = TRAJECTORIES[name]
     trajectory = run(rule, config, steps)
     default = _default_window(config, rule, steps)
-    # Explicit windows reach far into the background on each side.
-    for x_min, x_max in (default, (default[0] - 17, default[1]), (-3, default[1] + 11), (4, 4)):
+    # Explicit windows reach far into the background on each side, or
+    # lie wholly left or right of the support.
+    windows = (
+        default,
+        (default[0] - 17, default[1]),
+        (-3, default[1] + 11),
+        (4, 4),
+        (default[0] - 40, default[0] - 5),
+        (default[1] + 5, default[1] + 29),
+    )
+    for x_min, x_max in windows:
         spec = RenderSpec(fmt, x_min, x_max, steps)
         assert render(trajectory, spec) == per_cell_render(trajectory, spec)
