@@ -81,10 +81,10 @@ def render(trajectory, spec):
     rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
     matrix = _state_matrix(rows, s or 0)
     if matrix is None:
-        # Stepping range-checks every cell an integer-state rule reads,
-        # so only an unstepped start can hold a cell outside its states.
-        # Such a trajectory, like one of a rule over non-integer cells,
-        # is labelled cell by cell.
+        # ``engine.run`` range-checks the start of an integer-state rule,
+        # so only a trajectory built otherwise can hold a cell outside its
+        # states.  Such a trajectory, like one of a rule over non-integer
+        # cells, is labelled cell by cell.
         labelled = [[label(value) for value in row] for row in rows]
     elif spec.format == "text":
         # Text labels share one width: gather each with a trailing space

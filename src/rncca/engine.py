@@ -20,6 +20,7 @@ other hashable cell values (partitioned cells are pairs).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -318,9 +319,22 @@ def configs_equal(a, b):
     return canonicalize(a) == canonicalize(b)
 
 
-def _check_int_states(rule, cells):
+def _check_config(rule, cfg):
+    """Refuse a configuration that ``rule`` cannot step: a finite one
+    on another background than the rule's quiescent state, or, for an
+    integer-state rule, one with a cell that is not a state."""
+    if isinstance(cfg, BiPeriodic):
+        words = (cfg.left, cfg.center, cfg.right)
+    elif isinstance(cfg, (Finite, Cyclic)):
+        words = (cfg.word,)
+    else:
+        raise TypeError(f"not a configuration: {cfg!r}")
+    if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
+        raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
-    for value in cells:
+    if s is None:
+        return
+    for value in itertools.chain.from_iterable(words):
         if not (isinstance(value, int) and 0 <= value < s):
             raise ValueError(f"state {value!r} out of range for {s} states")
 
@@ -334,10 +348,6 @@ def _step_ring(rule, word):
 
 
 def _step_finite(rule, cfg):
-    if cfg.quiescent != rule.quiescent:
-        raise ValueError("configuration background does not match the rule's quiescent state")
-    if rule.state_count is not None:
-        _check_int_states(rule, cfg.word)
     if not cfg.word:
         return Finite(0, (), cfg.quiescent)
     nb = rule.neighborhood
@@ -362,16 +372,10 @@ def _step_finite(rule, cfg):
 
 
 def _step_cyclic(rule, cfg):
-    if rule.state_count is not None:
-        _check_int_states(rule, cfg.word)
     return Cyclic(_step_ring(rule, cfg.word))
 
 
 def _step_biperiodic(rule, cfg):
-    if rule.state_count is not None:
-        _check_int_states(rule, cfg.left)
-        _check_int_states(rule, cfg.center)
-        _check_int_states(rule, cfg.right)
     nb = rule.neighborhood
     wl, wr = window_growth(nb)
     lo, hi = min(nb), max(nb)
@@ -395,13 +399,12 @@ def step(rule, config):
     backgrounds step as rings (spatial periodicity commutes with the
     global map) while the center is recomputed over a widened window.
     """
+    _check_config(rule, config)
     if isinstance(config, Finite):
         return _step_finite(rule, config)
     if isinstance(config, Cyclic):
         return _step_cyclic(rule, config)
-    if isinstance(config, BiPeriodic):
-        return _step_biperiodic(rule, config)
-    raise TypeError(f"not a configuration: {config!r}")
+    return _step_biperiodic(rule, config)
 
 
 def run(rule, config, steps):
@@ -414,6 +417,8 @@ def run(rule, config, steps):
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
     configs = [canonicalize(config)]
+    # Refused as ``step`` would refuse it, even when it is not stepped.
+    _check_config(rule, configs[0])
     if steps and rule.state_count is not None and rule.local_batch is not None:
         configs += _run_rows(rule, configs[0], steps)
     else:
@@ -465,7 +470,6 @@ def _run_rows(rule, cfg, steps):
     batch = rule.local_batch
     lo, hi = min(nb), max(nb)
     if isinstance(cfg, Cyclic):
-        _check_int_states(rule, cfg.word)
         row = np.array(cfg.word, dtype=np.intp)
         n = len(row)
         ring = np.arange(lo, n + hi) % n
@@ -476,15 +480,9 @@ def _run_rows(rule, cfg, steps):
             out.append(Cyclic(tuple(row.tolist())))
         return out
     if isinstance(cfg, Finite):
-        if cfg.quiescent != rule.quiescent:
-            raise ValueError("configuration background does not match the rule's quiescent state")
-        _check_int_states(rule, cfg.word)
         c0, c1 = cfg.offset, cfg.offset + len(cfg.word)
         nl = nr = 0
     else:
-        _check_int_states(rule, cfg.left)
-        _check_int_states(rule, cfg.center)
-        _check_int_states(rule, cfg.right)
         c0, c1 = cfg.center_offset, cfg.center_offset + len(cfg.center)
         nl, nr = len(cfg.left), len(cfg.right)
     wl, wr = window_growth(nb)

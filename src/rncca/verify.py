@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .convert import _encode, convert, encode_tau_prime, heavy_part, light_part
-from .engine import Cyclic, Finite, Trajectory, cell_at, window_growth
+from .convert import _encode, convert, encode_tau_prime
+from .engine import Cyclic, Finite, Trajectory, window_growth
 from .formats import format_configuration
 from .rpca import QUIESCENT_PAIR, step_rpca
 
@@ -53,6 +53,8 @@ DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 18
 # Cells per row matrix in the sampled and simulation sweeps.
 _ROW_CELLS = 1 << 16
+# Generator outputs per read in the sampled draws.
+_DRAW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -204,28 +206,129 @@ def _conservation_counterexample(word, change, cyclic):
     )
 
 
-def _first_sampled_unconserved(rule, draws, first):
-    """Counterexample for the earliest of ``draws`` whose cell sum one
-    step changes, or None.  Draw j is number ``first + j``; even numbers
-    are finite words, odd ones cyclic.  Finite words step together,
-    zero-padded to one length (padding adds quiescent cells, which
-    changes no sum); cyclic words step in groups of one length."""
-    groups = {}
-    for j, word in enumerate(draws):
-        cyclic = (first + j) % 2 == 1
-        groups.setdefault((cyclic, len(word) if cyclic else 0), []).append(j)
-    dtype = np.min_scalar_type(rule.state_count - 1)
+def _draw_shift(n):
+    """How far ``randrange(n)`` shifts a 32-bit output right: it keeps
+    the top ``n.bit_length()`` bits, all from one output below 2**32."""
+    if n >= 1 << 32:
+        raise ValueError(f"sampled mode needs support and state counts below 2**32, got {n}")
+    return 32 - n.bit_length()
+
+
+class _Draws:
+    """The sampled oracles' draws from ``random.Random(seed)``, read
+    ``_DRAW_BLOCK`` 32-bit generator outputs at a time.
+
+    In CPython, ``randrange(n)`` takes one output, keeps its top
+    ``n.bit_length()`` bits and takes another while they are ``>= n``;
+    ``randint(1, m)`` is ``1 + randrange(m)``; and ``getrandbits(32 * B)``
+    is the next B outputs, the first in the lowest 32 bits.  Rejecting
+    over a block therefore gives, value for value, what those calls made
+    one at a time would.  Outputs read but not yet used wait for the
+    next call, so the stream runs on unbroken across chunks.
+    """
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self._pending = np.zeros(0, dtype=np.uint32)
+
+    def _fresh(self, least=0):
+        """The next ``least`` outputs, or one block if that is more."""
+        size = max(least, _DRAW_BLOCK)
+        return np.frombuffer(self._rng.getrandbits(32 * size).to_bytes(4 * size, "little"), "<u4")
+
+    def below(self, n, size):
+        """``size`` >= 1 draws of ``randrange(n)``, as an array."""
+        shift = _draw_shift(n)
+        parts = []
+        outputs = self._pending
+        while True:
+            values = outputs >> shift
+            kept = np.flatnonzero(values < n)[:size]
+            parts.append(values[kept])
+            size -= len(kept)
+            if not size:
+                break
+            outputs = self._fresh()
+        self._pending = outputs[kept[-1] + 1 :]
+        return np.concatenate(parts).astype(np.min_scalar_type(n - 1))
+
+    def words(self, count, max_length, s):
+        """``count`` >= 1 words, each ``randint(1, max_length)`` draws of
+        ``randrange(s)``: their lengths, and their cells as the rows of a
+        matrix zero-padded to the longest.
+
+        Where a word ends depends on its drawn length, so one pass over
+        the outputs finds, for each, where a word starting there would
+        end; from the first pending output, those links lead from word
+        to word."""
+        length_shift, cell_shift = _draw_shift(max_length), _draw_shift(s)
+        lengths, firsts, pools = [], [], []
+        pooled = 0
+        outputs = self._pending
+        while True:
+            size = len(outputs)
+            length_draw = (outputs >> length_shift).astype(np.int64)
+            cell_draw = outputs >> cell_shift
+            kept = cell_draw < s
+            kept_through = np.cumsum(kept)
+            # length_at[i]: the first output from i on that is a kept length draw.
+            length_at = np.where(length_draw < max_length, np.arange(size), size)
+            length_at = np.minimum.accumulate(length_at[::-1])[::-1]
+            at = np.minimum(length_at, size - 1)
+            last = np.searchsorted(kept_through, kept_through[at] + length_draw[at] + 1)
+            # following[i]: where the next word starts after one that starts
+            # at i; 0 when the outputs end first.
+            following = np.where((length_at < size) & (last < size), last + 1, 0).tolist()
+            starts = []
+            i = 0
+            while count and i < size and following[i]:
+                starts.append(i)
+                i = following[i]
+                count -= 1
+            at = length_at[starts]
+            lengths.append(length_draw[at] + 1)
+            # A word's cells are the kept cell draws after its length draw:
+            # in the pool of those, they start at the count kept up to it.
+            firsts.append(pooled + kept_through[at])
+            pools.append(cell_draw[kept])
+            pooled += len(pools[-1])
+            outputs = outputs[i:]
+            if not count:
+                break
+            # The rest of a word: one more block, or as many outputs again
+            # when a block already fell short.
+            outputs = np.concatenate([outputs, self._fresh(len(outputs))])
+        self._pending = outputs
+        lengths, firsts, pool = np.concatenate(lengths), np.concatenate(firsts), np.concatenate(pools)
+        columns = np.arange(lengths.max())
+        cells = pool[np.minimum(firsts[:, None] + columns, len(pool) - 1)]
+        cells[columns >= lengths[:, None]] = 0
+        return lengths, cells.astype(np.min_scalar_type(s - 1))
+
+
+def _first_sampled_unconserved(rule, lengths, cells, first):
+    """Counterexample for the earliest sampled word whose cell sum one
+    step changes, or None.  Word j is ``cells[j, :lengths[j]]``, draw
+    number ``first + j``; even numbers are finite words, odd ones cyclic.
+    Finite words step together, zero-padded to the longest of them
+    (padding adds quiescent cells, which changes no sum); cyclic words
+    step in groups of one length."""
+    cyclic = (first + np.arange(len(lengths))) % 2 == 1
+    groups = [(np.flatnonzero(~cyclic), False)]
+    groups += [(np.flatnonzero(cyclic & (lengths == n)), True) for n in np.unique(lengths[cyclic])]
     failures = []
-    for (cyclic, _), members in groups.items():
-        padded = itertools.zip_longest(*(draws[j] for j in members), fillvalue=0)
-        found = _first_unconserved(rule, [np.array(col, dtype=dtype) for col in padded], cyclic)
+    for members, is_cyclic in groups:
+        if not members.size:
+            continue
+        words = np.ascontiguousarray(cells[members, : lengths[members].max()].T)
+        found = _first_unconserved(rule, list(words), is_cyclic)
         if found:
             row, change = found
-            failures.append((members[row], change, cyclic))
+            failures.append((int(members[row]), change, is_cyclic))
     if not failures:
         return None
-    j, change, cyclic = min(failures, key=lambda failure: failure[0])
-    return _conservation_counterexample(draws[j], change, cyclic)
+    j, change, is_cyclic = min(failures, key=lambda failure: failure[0])
+    return _conservation_counterexample(cells[j, : lengths[j]].tolist(), change, is_cyclic)
 
 
 def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=None, seed=None, budget=None):
@@ -258,16 +361,13 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
         )
         return _report(name, domain, next(failures, None), started)
     if mode == "sampled":
-        rng = random.Random(seed)
+        draws = _Draws(seed)
         domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
         rows = max(1, _ROW_CELLS // max_support)
         counterexample = None
         for first in range(0, count, rows):
-            draws = []
-            for _ in range(min(rows, count - first)):
-                length = rng.randint(1, max_support)
-                draws.append(tuple(rng.randrange(s) for _ in range(length)))
-            counterexample = _first_sampled_unconserved(rule, draws, first)
+            lengths, cells = draws.words(min(rows, count - first), max_support, s)
+            counterexample = _first_sampled_unconserved(rule, lengths, cells, first)
             if counterexample:
                 break
         return _report(name, domain, counterexample, started)
@@ -348,7 +448,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         )
         return _report(name, domain, counterexample, started)
     if mode == "sampled":
-        rng = random.Random(seed)
+        draws = _Draws(seed)
         domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
         rows = max(1, _ROW_CELLS // n)
         dtype = np.min_scalar_type(s - 1)
@@ -357,8 +457,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         counterexample = None
         for first in range(0, count, rows):
             size = min(rows, count - first) * n
-            draws = np.fromiter((rng.randrange(s) for _ in range(size)), dtype=dtype, count=size)
-            words = np.concatenate([seen_words, draws.reshape(-1, n)])
+            words = np.concatenate([seen_words, draws.below(s, size).reshape(-1, n)])
             images = np.concatenate([seen_images, _cyclic_images(rule, words[len(seen_words) :])])
             image_ids = np.unique(images, axis=0, return_inverse=True)[1].reshape(-1)
             _, owners = np.unique(image_ids, return_index=True)
@@ -689,15 +788,17 @@ def mass_ledger(code, trajectory, window=None):
     if window is None:
         window = _aligned_window(configs[0])
     a, b = window
+    width = max(b - a + 1, 0)
     rows = []
     for t, cfg in enumerate(configs):
-        if isinstance(cfg, Cyclic):
-            heavy = sum(heavy_part(code, q) for q in cfg.word)
-            light = sum(light_part(code, q) for q in cfg.word)
-        else:
-            heavy = sum(heavy_part(code, cell_at(cfg, x)) for x in range(a, b + 1))
-            light = sum(light_part(code, cell_at(cfg, x)) for x in range(a + t, b + t + 1))
-        rows.append((t, heavy, light))
+        # Cells a .. b + t hold the heavy window and the light one, t cells on.
+        cells = cfg.word if isinstance(cfg, Cyclic) else engine.window_cells(cfg, a, b + t)
+        row = np.fromiter(cells, dtype=np.int64, count=len(cells))
+        light = row % code.light_modulus
+        heavy = row - light
+        if not isinstance(cfg, Cyclic):
+            heavy, light = heavy[:width], light[t : t + width]
+        rows.append((t, int(heavy.sum()), int(light.sum())))
     return MassLedger((a, b), tuple(rows))
 
 

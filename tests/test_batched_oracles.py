@@ -4,7 +4,9 @@
 of ``simulate``, ``tauprime --spacing`` and sampled ``conserve`` /
 ``inject``, kept verbatim apart from taking the derived rule as an
 argument and returning the report fields.  Every batched report must
-equal them in property, domain, verdict and counterexample.
+equal them in property, domain, verdict and counterexample.  The mass
+ledger, now summed over numpy rows, is held to its per-cell version the
+same way.
 """
 
 import dataclasses
@@ -13,13 +15,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rncca.verify as verify
 from rncca import engine
-from rncca.convert import convert, encode_tau, encode_tau_prime
-from rncca.engine import Cyclic, Finite, make_rule, window_growth
+from rncca.convert import convert, encode_tau, encode_tau_prime, heavy_part, light_part
+from rncca.engine import BiPeriodic, Cyclic, Finite, Trajectory, cell_at, make_rule, window_growth
 from rncca.formats import format_configuration
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca, step_rpca
 from rncca.verify import Counterexample
@@ -164,6 +166,33 @@ def reference_inject_sampled(rule, n, *, count, seed):
             break
         seen[image] = word
     return ("inject", domain, counterexample is None, counterexample)
+
+
+def reference_mass_ledger(code, trajectory, window=None):
+    configs = trajectory.configs if isinstance(trajectory, Trajectory) else tuple(trajectory)
+    if window is None:
+        window = verify._aligned_window(configs[0])
+    a, b = window
+    rows = []
+    for t, cfg in enumerate(configs):
+        if isinstance(cfg, Cyclic):
+            heavy = sum(heavy_part(code, q) for q in cfg.word)
+            light = sum(light_part(code, q) for q in cfg.word)
+        else:
+            heavy = sum(heavy_part(code, cell_at(cfg, x)) for x in range(a, b + 1))
+            light = sum(light_part(code, cell_at(cfg, x)) for x in range(a + t, b + t + 1))
+        rows.append((t, heavy, light))
+    return verify.MassLedger((a, b), tuple(rows))
+
+
+def reference_ledger_is_constant(code, trajectory, window=None):
+    ledger = reference_mass_ledger(code, trajectory, window)
+    a, b = ledger.window
+    retries = ((a - 1, b), (a, b + 1), (a - 1, b + 1))
+    for led in itertools.chain([ledger], (reference_mass_ledger(code, trajectory, w) for w in retries)):
+        if len({row[1] for row in led.rows}) == 1 and len({row[2] for row in led.rows}) == 1:
+            return True, led
+    return False, ledger
 
 
 @st.composite
@@ -352,8 +381,23 @@ def small_rules(draw):
     return make_rule(s, nb, table, 0), make_rule(s, nb, lambda *cells: table[cells], 0)
 
 
+def rule_forms(s, nb, local):
+    """``local`` as a table and as a callable, as ``small_rules`` draws them."""
+    table = {key: local(*key) for key in itertools.product(range(s), repeat=len(nb))}
+    return make_rule(s, nb, table, 0), make_rule(s, nb, lambda *cells: table[cells], 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_rules(), st.integers(0, 2**31), st.integers(1, 5), st.integers(1, 60))
+# Counts whose draws span several blocks of generator outputs.  With
+# seed 3, conserve first fails at draw 3635, about 17,000 outputs in,
+# and inject passes all 5000 draws.
+@example(rule_forms(255, (0, 1), lambda a, b: 0 if a == b == 254 else a), 3, 5, 5000)
+# With seed 0, inject first finds a collision at draw 1670, about 13,000
+# outputs in.
+@example(rule_forms(16, (0, 1), lambda a, b: 0 if a == b == 15 else a), 0, 4, 5000)
+# A shift passes both, after about 60,000 and 100,000 outputs.
+@example(rule_forms(2, (-1, 0), lambda a, b: a), 7, 17, 3000)
 def test_sampled_conserve_and_inject_match_reference(rules, seed, length, count):
     derived = convert(example_rpca("random", 2, 2, seed=seed % 7))
     for rule in (*rules, derived):
@@ -387,3 +431,42 @@ def test_callable_inject_reports_smallest_colliding_image():
         report = verify.check_injective_cyclic(rule, 3)
         assert report.counterexample.input == "cyclic: 0,0,0 and cyclic: 1,1,1"
         assert report.counterexample.actual == "both step to cyclic: 0,0,0"
+
+
+@pytest.mark.parametrize("name, sizes", [("xor", (2, 2)), ("random", (2, 3)), ("random", (3, 4))])
+def test_mass_ledger_matches_reference(name, sizes):
+    # Finite, bi-periodic (tau and tau' encodings of finite sources) and
+    # cyclic trajectories, under the derived rule and under mutated ones,
+    # with the default window and explicit ones that are wider, narrower,
+    # empty (reversed, some by less than the step count), or away from
+    # the support.
+    p = example_rpca(name, *sizes, seed=4)
+    rule = convert(p)
+    code = rule.code
+    s = rule.state_count
+    rng = random.Random(sum(sizes))
+    verdicts = set()
+    shapes = set()
+    for trial in range(12):
+        test_rule = rule if trial % 3 == 0 else reached_mutation(p, rule, rng, 2, 4)
+        word = [(rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(rng.randint(1, 4))]
+        starts = [
+            encode_tau(code, Finite(0, word, QUIESCENT_PAIR)),
+            encode_tau_prime(code, Finite(0, word, QUIESCENT_PAIR), gaps=[rng.randint(1, 3) for _ in word[1:]]),
+            encode_tau(code, Cyclic(word)),
+            Finite(rng.randint(-3, 3), [rng.randrange(s) for _ in range(rng.randint(0, 6))], 0),
+        ]
+        for start in starts:
+            trajectory = engine.run(test_rule, start, 8)
+            shapes.update(type(cfg) for cfg in trajectory.configs)
+            a, b = verify._aligned_window(trajectory.configs[0])
+            windows = (None, (a - 3, b + 2), (a + 1, b - 1), (b, a), (a + 2, a), (a - 9, a - 5), (b + 4, b + 4))
+            for window in windows:
+                expected = reference_mass_ledger(code, trajectory, window)
+                assert verify.mass_ledger(code, trajectory, window) == expected
+                assert verify.mass_ledger(code, list(trajectory.configs), window) == expected
+                result = verify.ledger_is_constant(code, trajectory, window)
+                assert result == reference_ledger_is_constant(code, trajectory, window)
+                verdicts.add(result[0])
+    assert verdicts == {True, False}
+    assert shapes == {Finite, BiPeriodic, Cyclic}

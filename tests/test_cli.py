@@ -148,6 +148,27 @@ def test_run_bad_window_exits_2(xor_rule, tau_config, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize(
+    "start, error",
+    [
+        ("finite q#=0 @0: 1,53,-3,2", "state 53 out of range for 16 states"),
+        ("cyclic: 3,-1", "state -1 out of range for 16 states"),
+        ("biperiodic left=0,15 center@0=16 right=0,15", "state 16 out of range for 16 states"),
+        ("cyclic: (1,0),(0,1)", "state (1, 0) out of range for 16 states"),
+        ("finite q#=3 @0: 1", "configuration background does not match the rule's quiescent state"),
+    ],
+)
+@pytest.mark.parametrize("steps", ["0", "1", "3"])
+def test_run_refuses_start_outside_states_at_every_step_count(xor_rule, tmp_path, capsys, start, error, steps):
+    # --steps 0 once rendered such a start cell by cell and exited 0.
+    cfg = tmp_path / "start.cfg"
+    cfg.write_text(start + "\n")
+    assert main(["run", xor_rule, str(cfg), "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_run_rejects_table_free_ncca(tmp_path, xor_rule, capsys):
     meta = tmp_path / "meta.ncca"
     assert main(["convert", xor_rule, "-o", str(meta)]) == 0

@@ -7,7 +7,7 @@ import itertools
 
 from rncca.cli import RenderSpec, _default_window, render
 from rncca.convert import ParticleCode, convert, encode_tau, encode_tau_prime
-from rncca.engine import BiPeriodic, Cyclic, Finite, cell_at, make_rule, run
+from rncca.engine import BiPeriodic, Cyclic, Finite, Trajectory, canonicalize, cell_at, make_rule, run
 from rncca.rpca import QUIESCENT_PAIR, example_rpca
 
 XOR_RULE = convert(example_rpca("xor"))
@@ -62,7 +62,8 @@ TRAJECTORIES = {
         encode_tau(ParticleCode(4, 7), Finite(0, [(3, 6), (0, 1), (2, 5)], QUIESCENT_PAIR)),
         6,
     ),
-    # Unstepped starts may hold cells outside the rule's states.
+    # Starts with cells outside the rule's states, which ``run`` refuses:
+    # rendered as one-row trajectories built by hand.
     "unstepped-out-of-range": (XOR_RULE, Finite(-1, [5, 300, -1, 15], 0), 0),
     "unstepped-biperiodic": (XOR_RULE, BiPeriodic([0, 15], [16, 3], 1, [0, 15]), 0),
 }
@@ -72,7 +73,7 @@ TRAJECTORIES = {
 @pytest.mark.parametrize("fmt", ["text", "pgm", "csv"])
 def test_render_matches_per_cell_renderer(name, fmt):
     rule, config, steps = TRAJECTORIES[name]
-    trajectory = run(rule, config, steps)
+    trajectory = run(rule, config, steps) if steps else Trajectory(rule, (canonicalize(config),))
     default = _default_window(config, rule, steps)
     # Explicit windows reach far into the background on each side, or
     # lie wholly left or right of the support.

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncca.engine import Cyclic, Finite, canonicalize, step
 from rncca.rpca import (
@@ -192,3 +194,61 @@ def test_rule_text_incomplete_table():
     text = "rpca C=2 R=2\n0 0 -> 0 0\n"
     with pytest.raises(RuleParseError):
         parse_rpca(text)
+
+
+numbers = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(["+1", "-0", "1_0", "_1", "007", "", "x", "1.5", "1e3", "0x2", "٣", "9" * 5000]),
+)
+headers = st.one_of(
+    st.builds("rpca C={} R={}".format, numbers, numbers),
+    st.sampled_from(["rpca", "rpca C=2", "rpca C=2 R=2 x", "RPCA C=2 R=2", "rpca R=2 C=2", "rpca C= R="]),
+)
+entries = st.builds(
+    "{} {} {} {} {}".format, numbers, numbers, st.sampled_from(["->", "=>", "-", "->->"]), numbers, numbers
+)
+# Small headers and entries, so that some texts are whole tables.
+small_entries = st.builds(
+    "{} {} -> {} {}".format, *(st.integers(0, 2) for _ in range(4))
+)
+rule_lines = st.one_of(
+    headers,
+    entries,
+    small_entries,
+    st.sampled_from(["", "   ", "# comment", "0 0 -> 0 0 # comment", "#rpca C=1 R=1", "->", "0 0 ->"]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def rule_texts(draw):
+    """A header (often a small valid one) and further lines; or a whole
+    table with one line replaced, inserted or left out."""
+    if draw(st.booleans()):
+        head = draw(st.one_of(st.builds("rpca C={} R={}".format, st.integers(1, 2), st.integers(1, 2)), rule_lines))
+        return "\n".join([head, *draw(st.lists(rule_lines, max_size=6))])
+    p = example_rpca("random", draw(st.integers(1, 3)), draw(st.integers(1, 3)), seed=draw(st.integers(0, 9)))
+    lines = format_rpca(p).splitlines()
+    i = draw(st.integers(0, len(lines)))
+    edit = draw(st.sampled_from(["replace", "insert", "drop", "keep"]))
+    if edit == "replace" and i < len(lines):
+        lines[i] = draw(rule_lines)
+    elif edit == "insert":
+        lines.insert(i, draw(rule_lines))
+    elif edit == "drop":
+        del lines[i:i + 1]
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(rule_texts(), st.text(max_size=60)))
+def test_parse_rpca_raises_only_rule_parse_errors(text):
+    # Arbitrary text, huge or malformed integers and bad headers: only
+    # RuleParseError, naming a line of the text, may leave the parser.
+    try:
+        p = parse_rpca(text)
+    except RuleParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        return
+    assert parse_rpca(format_rpca(p)) == p
