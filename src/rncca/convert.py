@@ -268,6 +268,9 @@ def _reduced_table(code, p):
 
     Every entry starts as the shift move heavy(q0) + light(q-1); the
     transition-site entries are then overwritten from the source table.
+    A site is fixed by its (q-1, q0) pair: the guard names the partner
+    of the other end, light(q-2) or heavy(q1), so the entries to write
+    are read off two s x s masks.
     """
     s = code.state_count
     two_r = code.light_modulus
@@ -284,13 +287,12 @@ def _reduced_table(code, p):
 
     light_pair = balanced(light, code.hat_light_limit, code.light_pair_sum)
     heavy_pair = balanced(heavy, code.hat_heavy_limit, code.heavy_pair_sum)
-    # q-2 is represented by its light mass alone (a state below 2|R|),
-    # q1 by its heavy mass alone (a multiple of 2|R|).
-    site_start = light_pair[:, :, None] & heavy_pair[None, :, ::two_r]  # over (q-1, q0, q1)
-    site_end = light_pair[:two_r, :, None] & heavy_pair[None, :, :]  # over (q-2, q-1, q0)
-    # Both guards fire at (q-2, q-1, q0, q1) iff they fire for some q1 and
-    # some q-2 at the same (q-1, q0), so this covers the whole table.
-    if (site_start.any(axis=2) & site_end.any(axis=0)).any():
+    # starts[x, y]: (q-1, q0) = (x, y) starts a site for some q1; ends[x, y]:
+    # it ends one for some q-2.  Both guards fire at (q-2, q-1, q0, q1)
+    # only if both masks hold at (q-1, q0), so this covers the whole table.
+    starts = light_pair & heavy_pair.any(axis=1)[None, :]
+    ends = light_pair.any(axis=0)[:, None] & heavy_pair
+    if (starts & ends).any():
         raise AssertionError("transition guards fired together")
     hat, check = (
         np.array(
@@ -299,11 +301,13 @@ def _reduced_table(code, p):
         )
         for variant in ("hat", "check")
     )
-    table = np.empty((two_r, s, s, 2 * code.c_size), dtype=dtype)
-    table[...] = (heavy[None, :] + light[:, None]).astype(dtype)[None, :, :, None]
-    b, c, d = np.nonzero(site_start)
-    table[:, b, c, d] = hat[heavy[c] // two_r, light[b]]
-    a, b, c = np.nonzero(site_end)
+    shift = (heavy[None, :] + light[:, None]).astype(dtype)  # over (q-1, q0)
+    table = np.tile(np.repeat(shift[:, :, None], 2 * code.c_size, axis=2), (two_r, 1, 1, 1))
+    # q-2 is indexed by its light mass, q1 by its heavy mass // 2|R|.
+    b, c = np.nonzero(starts)
+    table[:, b, c, (code.heavy_pair_sum - heavy[c]) // two_r] = hat[heavy[c] // two_r, light[b]]
+    b, c = np.nonzero(ends)
+    a = code.light_pair_sum - light[b]
     table[a, b, c] = check[heavy[b] // two_r, a][:, None]
     return table
 

@@ -132,15 +132,23 @@ def _digits(index, s, length):
 
 def _batch_of(rule):
     """The rule's batch evaluator: ``local_batch``, or else ``local``
-    applied element by element over the broadcast columns."""
+    applied element by element over the broadcast columns.  ``make_rule``
+    checks a table's outputs but trusts a callable's, so this path raises
+    ValueError on an image outside 0 .. s-1: the sweeps index by images."""
     if rule.local_batch is not None:
         return rule.local_batch
-    local = rule.local
+    local, s = rule.local, rule.state_count
 
     def batch(cols):
         cols = np.broadcast_arrays(*cols)
         hoods = zip(*(col.ravel().tolist() for col in cols))
-        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(cols[0].shape)
+        images = np.array([local(*hood) for hood in hoods], dtype=np.int64)
+        outside = np.flatnonzero((images < 0) | (images >= s))
+        if outside.size:
+            i = outside[0]
+            hood = tuple(int(col.flat[i]) for col in cols)
+            raise ValueError(f"local rule maps {hood} to {images[i]}, outside the states 0 .. {s - 1}")
+        return images.reshape(cols[0].shape)
 
     return batch
 
@@ -387,6 +395,26 @@ def _image_keys(rule, cols):
     return keys.ravel()
 
 
+def _least_collision(rule, n, seen):
+    """The smallest key that two cyclic words of length n step to, for a
+    rule known not to be injective; ``seen`` holds one cleared flag per
+    word."""
+    collision_key = len(seen)  # above every key
+    for _, cols in _grids(rule.state_count, n, _CHUNK):
+        ordered = np.sort(_image_keys(rule, cols))
+        # Keys an earlier chunk had or this one has twice; the first is least.
+        hit = seen[ordered]
+        hit[:-1] |= ordered[1:] == ordered[:-1]
+        collision_key = min([collision_key, *ordered[hit][:1].tolist()])
+        seen[ordered] = True
+    return collision_key
+
+
+def _byte_rows(matrix):
+    """The rows of a C-contiguous matrix, each as one byte string."""
+    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
+
+
 def _injectivity_counterexample(rule, n, collision_key):
     """The first two cyclic words, in lexicographic order, whose image
     has key ``collision_key``."""
@@ -414,8 +442,10 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     Words are compared exactly, not up to rotation: a collision between
     rotations of one word is still an injectivity violation.  Exhaustive
     mode refuses to start when s**n exceeds the budget or the memory for
-    one flag per word, and reports the collision with the smallest image
-    (read as a base-s number).
+    one flag per word.  It marks the flag of every image and decides by
+    coverage: the rule is injective exactly when all s**n flags are
+    marked.  Only a failing rule is swept again, for the collision with
+    the smallest image (read as a base-s number), which it reports.
     Sampled mode reports the first draw whose image an earlier, different
     draw already had.
     """
@@ -434,43 +464,59 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
                 f"exhaustive sweep of {total} words needs more memory than is available;"
                 " use sampled mode or a shorter cycle"
             ) from None
-        collision_key = total  # above every key: no collision yet
+        # The s**n words have keys in 0 .. s**n - 1, so the rule is injective
+        # exactly when their images mark every key (pigeonhole): a sweep
+        # that has marked fewer keys than it has swept words has a collision.
+        # A count reads every flag, so it is taken after a chunk only once
+        # a sixteenth of the words have been swept since the last one.
+        swept = counted = 0
         for _, cols in _grids(s, n, _CHUNK):
-            ordered = np.sort(_image_keys(rule, cols))
-            # Keys an earlier chunk had or this one has twice; the first is least.
-            hit = seen[ordered]
-            hit[:-1] |= ordered[1:] == ordered[:-1]
-            collision_key = min([collision_key, *ordered[hit][:1].tolist()])
-            seen[ordered] = True
-        counterexample = (
-            None if collision_key == total
-            else _injectivity_counterexample(rule, n, collision_key)
-        )
-        return _report(name, domain, counterexample, started)
+            keys = _image_keys(rule, cols)
+            seen[keys] = True
+            swept += len(keys)
+            if swept - counted < total // 16 and swept < total:
+                continue
+            counted = swept
+            if np.count_nonzero(seen) < swept:
+                seen[:] = False
+                counterexample = _injectivity_counterexample(rule, n, _least_collision(rule, n, seen))
+                return _report(name, domain, counterexample, started)
+        return _report(name, domain, None, started)
     if mode == "sampled":
         draws = _Draws(seed)
         domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
         rows = max(1, _ROW_CELLS // n)
-        dtype = np.min_scalar_type(s - 1)
-        # Every distinct image drawn so far, with the one word that had it.
-        seen_words = seen_images = np.zeros((0, n), dtype=dtype)
+        # Every distinct image drawn so far, sorted, with the word that
+        # first had it; each row is one byte string, so rows sort, compare
+        # and merge as single values.
+        seen_images = seen_words = None
         counterexample = None
         for first in range(0, count, rows):
-            size = min(rows, count - first) * n
-            words = np.concatenate([seen_words, draws.below(s, size).reshape(-1, n)])
-            images = np.concatenate([seen_images, _cyclic_images(rule, words[len(seen_words) :])])
-            image_ids = np.unique(images, axis=0, return_inverse=True)[1].reshape(-1)
-            _, owners = np.unique(image_ids, return_index=True)
-            # owner[i]: the earliest row with row i's image.
-            owner = owners[image_ids]
-            clashes = np.flatnonzero((words != words[owner]).any(axis=1))
+            words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
+            images = np.ascontiguousarray(_cyclic_images(rule, words))
+            word_rows, image_rows = _byte_rows(words), _byte_rows(images)
+            if seen_images is None:
+                seen_images, seen_words = image_rows[:0], word_rows[:0]
+            # The chunk's distinct images, the earliest row with each, and
+            # where each sits among those seen before.
+            distinct, earliest, image_of = np.unique(image_rows, return_index=True, return_inverse=True)
+            at = np.searchsorted(seen_images, distinct)
+            known = at < len(seen_images)
+            known[known] = seen_images[at[known]] == distinct[known]
+            # owners[j]: the word that first had distinct image j.
+            owners = word_rows[earliest]
+            owners[known] = seen_words[at[known]]
+            clashes = np.flatnonzero(word_rows != owners[image_of])
             if clashes.size:
                 i = clashes[0]
+                owner = np.frombuffer(owners[image_of[i]].tobytes(), words.dtype)
                 counterexample = _collision(
-                    words[owner[i]].tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
+                    owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
                 )
                 break
-            seen_words, seen_images = words[owners], images[owners]
+            fresh = ~known
+            seen_images = np.insert(seen_images, at[fresh], distinct[fresh])
+            seen_words = np.insert(seen_words, at[fresh], owners[fresh])
         return _report(name, domain, counterexample, started)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -207,6 +207,24 @@ def test_verify_broken_rule_exits_1(tmp_path, capsys):
     assert "passed=false" in out and "counterexample=" in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("verify-inject.txt", ["lossy.ncca", "inject", "--cycle", "3"]),
+        ("verify-inject-sampled.txt", ["lossy.ncca", "inject", "--cycle", "3", "--sampled", "200", "--seed", "1"]),
+        ("verify-conserve.txt", ["leaky.ncca", "conserve", "--support", "2"]),
+    ],
+)
+def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
+    # The same reports as the CI step that runs the installed script.
+    assert main(["verify", str(GOLDEN / args[0]), *args[1:]]) == 1
+    out = re.sub(r"elapsed_ms=\d+", "elapsed_ms=MASKED", capsys.readouterr().out)
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_budget_env_refusal(xor_rule, capsys, monkeypatch):
     monkeypatch.setenv("RNCCA_BUDGET", "10")
     assert main(["verify", xor_rule, "inject", "--cycle", "3"]) == 2

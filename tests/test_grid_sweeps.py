@@ -306,6 +306,123 @@ def test_lead_digit_splits_match_reference(monkeypatch, chunk):
         assert_sweeps_match(rule, [n for n in (1, 2, 3, 4) if s**n <= 1024])
 
 
+# The coverage sweep over several chunks.  For 6 states and cyclic words
+# of length 3, a chunk of 72 words holds the words whose first cell is in
+# {0, 1}, {2, 3} or {4, 5}.  ``constant_merge(a, b)`` is the identity
+# except on the neighborhood (a, a, a), which only the constant word a^3
+# has: its one collision is a^3 against b^3.
+
+
+def constant_merge(a, b):
+    def local(left, cell, right):
+        return b if left == cell == right == a else cell
+
+    table = {key: local(*key) for key in itertools.product(range(6), repeat=3)}
+    return make_rule(6, (-1, 0, 1), table, 0), make_rule(6, (-1, 0, 1), local, 0)
+
+
+def recorded_grids(monkeypatch):
+    """Record, per ``_grids`` call, the first word of every chunk it yields."""
+    calls = []
+    grids = verify._grids
+
+    def recording(s, length, chunk):
+        firsts = []
+        calls.append(firsts)
+        for first, cols in grids(s, length, chunk):
+            firsts.append(first)
+            yield first, cols
+
+    monkeypatch.setattr(verify, "_grids", recording)
+    return calls
+
+
+def constant_word(a):
+    return a * (1 + 6 + 36)
+
+
+@pytest.mark.parametrize(
+    "a, b, chunks",
+    [
+        (1, 0, 1),  # a^3 and b^3 both in the first chunk
+        (2, 1, 2),  # in the first and second chunks only
+        (4, 5, 3),  # both in the last chunk
+        (5, 4, 3),
+    ],
+)
+def test_coverage_sweep_stops_at_the_first_short_chunk(monkeypatch, a, b, chunks):
+    monkeypatch.setattr(verify, "_CHUNK", 72)
+    for rule in constant_merge(a, b):
+        expected = reference_inject(rule, 3)
+        calls = recorded_grids(monkeypatch)
+        report = verify.check_injective_cyclic(rule, 3)
+        assert fields(report) == expected
+        assert report.counterexample.input == (
+            f"cyclic: {','.join([str(min(a, b))] * 3)} and cyclic: {','.join([str(max(a, b))] * 3)}"
+        )
+        # The coverage pass marks no chunk after the one where the count
+        # first falls short; only then is the least collision searched.
+        assert calls[0] == [0, 72, 144][:chunks]
+        assert calls[1] == [0, 72, 144]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_coverage_sweep_counts_once_a_sixteenth_is_swept(monkeypatch, chunk):
+    # The count comes after a chunk once 216 // 16 = 13 words have been
+    # swept since the last one, and after the last chunk; the coverage
+    # pass stops at the first count that falls short.
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    for a, b in ((1, 0), (2, 1), (4, 5), (5, 4)):
+        # Words up to this one hold the collision.
+        visible = max(constant_word(a), constant_word(b))
+        for rule in constant_merge(a, b):
+            calls = recorded_grids(monkeypatch)
+            assert fields(verify.check_injective_cyclic(rule, 3)) == reference_inject(rule, 3)
+            ends = calls[1][1:] + [216]
+            counted, stop = 0, None
+            for end in ends:
+                if end - counted >= 13 or end == 216:
+                    counted = end
+                    if end > visible:
+                        stop = end
+                        break
+            assert ends[len(calls[0]) - 1] == stop
+
+
+@pytest.mark.parametrize("chunk", [1, 256, 4095])
+def test_coverage_sweep_of_derived_rules_over_chunks(monkeypatch, chunk):
+    # 16**3 words in several chunks: the injective xor rule passes with
+    # no search, and one mutated entry fails like the reference.
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    rule = convert(example_rpca("xor"))
+    calls = recorded_grids(monkeypatch)
+    report = verify.check_injective_cyclic(rule, 3)
+    assert report.passed and fields(report) == reference_inject(rule, 3)
+    assert len(calls) == 1
+    # The neighborhood (0, 5, 10, 0), its own reduced key, of the ring 10, 0, 5.
+    hood = (0, 5, 10, 0)
+    bad = mutated(rule, hood, (rule.local(*hood) + 1) % 16)
+    report = verify.check_injective_cyclic(bad, 3)
+    assert not report.passed and fields(report) == reference_inject(bad, 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_callable_images_outside_the_states_are_refused(bad):
+    # A negative image would wrap in the coverage flags and one >= s would
+    # index past them; both are refused, naming the neighborhood.
+    rule = make_rule(3, (-1, 0), lambda left, cell: bad if (left, cell) == (2, 1) else cell, 0)
+    message = rf"local rule maps \(2, 1\) to {bad}, outside the states 0 \.\. 2"
+    checks = [
+        lambda: verify.check_injective_cyclic(rule, 2),
+        lambda: verify.check_injective_cyclic(rule, 2, mode="sampled", count=50, seed=1),
+        lambda: verify.check_number_conserving(rule, max_support=2),
+        lambda: verify.check_number_conserving(rule, mode="sampled", max_support=2, count=50, seed=1),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=message):
+            check()
+
+
 def test_grids_enumerate_words_in_lexicographic_order():
     for s, length, chunk in itertools.product((1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 7, 30, 1 << 18)):
         words = []
