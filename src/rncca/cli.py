@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -75,26 +76,35 @@ def _labeller(fmt, state_count):
 
 def render(trajectory, spec):
     """Render a trajectory to text, PGM (P2), or CSV.  Rows are time
-    steps, t = 0 on top; output is a pure function of the inputs."""
+    steps, t = 0 on top; output is a pure function of the inputs.
+
+    A trajectory that ``engine.run`` stepped as numpy rows is drawn from
+    those rows; one built otherwise, from its configurations."""
     s = trajectory.rule.state_count
     label = _labeller(spec.format, s)
-    rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
-    matrix = _state_matrix(rows, s or 0)
+    if trajectory.rows is not None:
+        matrix = engine.window_matrix(trajectory, spec.x_min, spec.x_max)
+        if not _all_states(matrix, s):
+            rows, matrix = matrix.tolist(), None
+    else:
+        rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
+        matrix = _state_matrix(rows, s or 0)
     if matrix is None:
         # ``engine.run`` range-checks the start of an integer-state rule,
-        # so only a trajectory built otherwise can hold a cell outside its
-        # states.  Such a trajectory, like one of a rule over non-integer
-        # cells, is labelled cell by cell.
+        # so only a trajectory built otherwise, or a ``local_batch`` that
+        # breaks its rule's range, can hold a cell outside its states.
+        # Such a trajectory, like one of a rule over non-integer cells, is
+        # labelled cell by cell.
         labelled = [[label(value) for value in row] for row in rows]
     elif spec.format == "text":
         # Text labels share one width: gather each with a trailing space
         # from a fixed-width byte table, and end every row with a newline.
         table = np.array([label(q) + " " for q in range(s)], dtype=bytes)
-        text = table[matrix].view(np.uint8)
+        text = table.take(matrix).view(np.uint8)
         text[:, -1] = ord("\n")
         return text.tobytes().decode("ascii")
     else:
-        labelled = np.array([label(q) for q in range(s)], dtype=object)[matrix].tolist()
+        labelled = np.array([label(q) for q in range(s)], dtype=object).take(matrix).tolist()
     if spec.format == "csv":
         xs = range(spec.x_min, spec.x_max + 1)
         lines = ["t,x,state"]
@@ -102,23 +112,24 @@ def render(trajectory, spec):
     else:
         lines = [" ".join(row) for row in labelled]
         if spec.format == "pgm":
-            lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(rows)}", "255"] + lines
+            lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(labelled)}", "255"] + lines
     return "\n".join(lines) + "\n"
 
 
 def _state_matrix(rows, state_count):
     """``rows`` as one integer matrix, or None unless every cell is a
-    state 0..state_count - 1.  Stepped rows hold plain ints, so only the
-    start row's cell types need a look."""
-    if not set(map(type, rows[0])) <= {int}:
+    state 0..state_count - 1."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         return None
     try:
         matrix = np.array(rows, dtype=np.intp)
     except (OverflowError, ValueError):
         return None
-    if matrix.min() < 0 or matrix.max() >= state_count:
-        return None
-    return matrix
+    return matrix if _all_states(matrix, state_count) else None
+
+
+def _all_states(matrix, state_count):
+    return matrix.min() >= 0 and matrix.max() < state_count
 
 
 def _write(text, out_path):

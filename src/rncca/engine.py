@@ -21,7 +21,7 @@ other hashable cell values (partitioned cells are pairs).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "step",
     "run",
     "window_cells",
+    "window_matrix",
     "canonicalize",
     "configs_equal",
     "window_growth",
@@ -114,10 +115,19 @@ class BiPeriodic:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A rule with the configurations it visited at t = 0..T."""
+    """A rule with the configurations it visited at t = 0..T.
+
+    ``rows`` is None, or what ``run`` stepped as numpy rows: per t, a
+    pair ``(x0, cells)`` whose integer array ``cells`` holds the cells
+    of ``configs[t]`` at x0, x0 + 1, ...  A cyclic row is the word at
+    x0 = 0; a finite or bi-periodic row covers the whole center, so the
+    cells beyond it follow the configuration's backgrounds.  ``rows``
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     rule: Rule
     configs: tuple
+    rows: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def make_rule(state_count, neighborhood, local_map, quiescent):
@@ -411,19 +421,20 @@ def run(rule, config, steps):
     """Step ``config`` repeatedly, returning a Trajectory of length steps + 1.
 
     Integer-state rules with a ``local_batch`` step whole rows as numpy
-    arrays; the result equals iterated ``step``.  Other rules step one
-    configuration at a time.
+    arrays, kept as the trajectory's ``rows``; the configurations equal
+    iterated ``step``.  Other rules step one configuration at a time and
+    keep no rows.
     """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
     configs = [canonicalize(config)]
     # Refused as ``step`` would refuse it, even when it is not stepped.
     _check_config(rule, configs[0])
-    if steps and rule.state_count is not None and rule.local_batch is not None:
-        configs += _run_rows(rule, configs[0], steps)
-    else:
-        for _ in range(steps):
-            configs.append(step(rule, configs[-1]))
+    if rule.state_count is not None and rule.local_batch is not None:
+        stepped, rows = _run_rows(rule, configs[0], steps)
+        return Trajectory(rule, tuple(configs + stepped), tuple(rows))
+    for _ in range(steps):
+        configs.append(step(rule, configs[-1]))
     return Trajectory(rule, tuple(configs))
 
 
@@ -447,6 +458,30 @@ def window_cells(config, x_min, x_max):
     )
 
 
+def window_matrix(trajectory, x_min, x_max):
+    """``window_cells`` of every configuration of a trajectory that
+    ``run`` stepped as rows, as one integer matrix: row t, column
+    x - x_min.  Read from ``trajectory.rows``, and beyond a stored row
+    from the configuration's pinned backgrounds."""
+    width = x_max - x_min + 1
+    matrix = np.empty((len(trajectory.rows), width), dtype=np.intp)
+    for out, (x0, cells), cfg in zip(matrix, trajectory.rows, trajectory.configs):
+        if isinstance(cfg, Cyclic):
+            left = right = cfg.word  # the row is this word, at x0 = 0
+        elif isinstance(cfg, Finite):
+            left = right = (cfg.quiescent,)
+        else:
+            left, right = cfg.left, cfg.right
+        a = min(max(x0 - x_min, 0), width)
+        b = min(max(x0 + len(cells) - x_min, a), width)
+        out[a:b] = cells[x_min + a - x0 : x_min + b - x0]
+        if a:
+            out[:a] = _pinned_cells(left, x_min, x_min + a)
+        if b < width:
+            out[b:] = _pinned_cells(right, x_min + b, x_max + 1)
+    return matrix
+
+
 def _pinned_cells(word, start, stop):
     """``word[x % len(word)]`` for start <= x < stop."""
     if stop <= start:
@@ -457,7 +492,8 @@ def _pinned_cells(word, start, stop):
 
 
 def _run_rows(rule, cfg, steps):
-    """The canonical configurations at t = 1..steps, stepped as numpy rows.
+    """The canonical configurations at t = 1..steps, stepped as numpy
+    rows, and the ``Trajectory.rows`` of t = 0..steps.
 
     Cyclic words step as rings, padded by their wrapped cells with one
     gather per step.  Otherwise the start is padded once to the light
@@ -473,12 +509,13 @@ def _run_rows(rule, cfg, steps):
         row = np.array(cfg.word, dtype=np.intp)
         n = len(row)
         ring = np.arange(lo, n + hi) % n
-        out = []
+        out, rows = [], [(0, row)]
         for _ in range(steps):
             padded = row[ring]
             row = batch([padded[d - lo : d - lo + n] for d in nb])
             out.append(Cyclic(tuple(row.tolist())))
-        return out
+            rows.append((0, row))
+        return out, rows
     if isinstance(cfg, Finite):
         c0, c1 = cfg.offset, cfg.offset + len(cfg.word)
         nl = nr = 0
@@ -489,18 +526,19 @@ def _run_rows(rule, cfg, steps):
     start = c0 - nl - (wl - lo) * steps
     row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
     primitive, tiles = {}, {}
-    out = []
+    out, rows = [], [(start, row)]
     for _ in range(steps):
         width = len(row) - (hi - lo)
         row = batch([row[d - lo : d - lo + width] for d in nb])
         start -= lo
+        rows.append((start, row))
         if isinstance(cfg, Finite):
             out.append(_finite_from_row(row, start, cfg.quiescent))
             continue
         left = _background(row[:nl], start, primitive)
         right = _background(row[-nr:], start + width - nr, primitive)
         out.append(_biperiodic_from_row(row, start, left, right, tiles))
-    return out
+    return out, rows
 
 
 def _background(cells, x0, primitive):

@@ -14,6 +14,8 @@ an equal configuration.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .engine import BiPeriodic, Cyclic, Finite
@@ -92,9 +94,20 @@ def _split_cells(text, line):
     return [text[i + 1 : j] for i, j in zip([-1, *cuts], [*cuts, len(text)])]
 
 
+# A list of pair literals of short ASCII decimals, the form
+# format_configuration writes: each reads as _parse_cell would read it,
+# and none is long enough for int() to refuse.
+_PAIR = r"\(-?[0-9]{1,18},-?[0-9]{1,18}\)"
+_PAIR_LIST = re.compile(rf"{_PAIR}(?:,{_PAIR})*")
+_NO_PARENS = str.maketrans("", "", "()")
+
+
 def _parse_cells(text, line):
     if not text:
         return ()
+    if _PAIR_LIST.fullmatch(text):
+        numbers = list(map(int, text.translate(_NO_PARENS).split(",")))
+        return tuple(zip(numbers[::2], numbers[1::2]))
     parts = _split_cells(text, line)
     try:
         return tuple(map(int, parts))

@@ -225,6 +225,23 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, config, args",
+    [
+        ("run.txt", "embed-tau.cfg", ["--steps", "12"]),
+        ("run.pgm", "embed-tau.cfg", ["--steps", "12", "--format", "pgm"]),
+        ("run.csv", "embed-tau.cfg", ["--steps", "12", "--format", "csv"]),
+        ("run-ring.txt", "embed-ring.cfg", ["--steps", "9"]),
+        ("run-window.txt", "embed-tau.cfg", ["--steps", "12", "--window", "-60", "90"]),
+        ("run-ring-window.txt", "embed-ring.cfg", ["--steps", "9", "--window", "-40", "70"]),
+    ],
+)
+def test_run_matches_golden_diagrams(capsys, golden, config, args):
+    # The same diagrams as the CI step that runs the installed script.
+    assert main(["run", str(GOLDEN / "rule.rpca"), str(GOLDEN / config), *args]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 def test_verify_budget_env_refusal(xor_rule, capsys, monkeypatch):
     monkeypatch.setenv("RNCCA_BUDGET", "10")
     assert main(["verify", xor_rule, "inject", "--cycle", "3"]) == 2

@@ -75,3 +75,10 @@ def test_parse_errors_cite_line():
 def test_malformed_records(bad):
     with pytest.raises(ConfigParseError):
         parse_configuration(bad)
+
+
+def test_pair_past_int_digit_limit_raises_its_own_error():
+    # int() refuses decimals this long; the literal is named as bad, not
+    # left to escape as a plain ValueError.
+    with pytest.raises(ConfigParseError, match=r"^line 1: bad pair literal '\(3,9999"):
+        parse_configuration(f"cyclic: (1,2),(3,{'9' * 5000})")
