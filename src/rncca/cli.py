@@ -88,12 +88,11 @@ def render(trajectory, spec):
             rows, matrix = matrix.tolist(), None
     else:
         rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
-        matrix = _state_matrix(rows, s or 0)
+        matrix = _state_matrix(rows, s)
     if matrix is None:
-        # ``engine.run`` range-checks the start of an integer-state rule,
-        # so only a trajectory built otherwise, or a ``local_batch`` that
-        # breaks its rule's range, can hold a cell outside its states.
-        # Such a trajectory, like one of a rule over non-integer cells, is
+        # ``engine.run`` range-checks the start, so only a trajectory
+        # built otherwise, or a ``local_batch`` that breaks its rule's
+        # range, can hold a cell outside its states.  Such a trajectory is
         # labelled cell by cell.
         labelled = [[label(value) for value in row] for row in rows]
     elif spec.format == "text":

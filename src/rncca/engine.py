@@ -13,9 +13,11 @@ shapes make the infinite lattice finitely representable:
   center patch, each background pinned the same way as ``Cyclic``.
 
 Stepping any shape returns the canonical form of the image, so stepped
-configurations compare with plain ``==``.  Cell values are usually
-integers ``0..state_count-1``; rules with ``state_count=None`` may use
-other hashable cell values (partitioned cells are pairs).
+configurations compare with plain ``==``.  Cell values are the integers
+``0..state_count-1``; partitioned cells step as their integer codes (see
+``rpca``).  Every step goes through one row stepper: a configuration is
+laid out as a numpy row, each neighborhood offset is a shifted slice of
+it, and the rule's batch evaluator computes the whole image at once.
 """
 
 from __future__ import annotations
@@ -45,18 +47,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Rule:
-    """A synchronous local update rule.
+    """A synchronous local update rule on the states 0..state_count-1.
 
     ``local`` takes one argument per neighborhood offset, in
     neighborhood order.  ``local_batch``, when present, evaluates a
     list of numpy arrays (one per offset) that broadcast together, and
-    must agree with ``local`` on every element of their broadcast; bulk
-    sweeps and ``run`` use it when available.
-    ``state_count`` is None for rules whose cells are not plain
-    integers; integer-state rules get range-checked while stepping.
+    must agree with ``local`` on every element of their broadcast.
+    Stepping and the sweeps evaluate the rule through it, or through
+    ``local`` applied element by element when it is None.
     """
 
-    state_count: int | None
+    state_count: int
     neighborhood: tuple[int, ...]
     local: Callable
     quiescent: object
@@ -137,8 +138,10 @@ def make_rule(state_count, neighborhood, local_map, quiescent):
     m-tuple of states, or a pair ``(keys, outputs)``: an n x m array of
     neighborhoods and their n outputs, read like the mapping built from
     them in order.  Tables are checked for totality and output range and
-    are evaluated from one flat numpy table, scalar and batch; callables
-    are trusted on range except at the all-quiescent tuple.
+    are evaluated from one flat numpy table, scalar and batch.  A
+    callable is checked here only at the all-quiescent tuple; stepping
+    and the sweeps refuse its images outside the states as they occur
+    (``_batch_of``).
     """
     nb = tuple(int(n) for n in neighborhood)
     if not nb:
@@ -331,8 +334,8 @@ def configs_equal(a, b):
 
 def _check_config(rule, cfg):
     """Refuse a configuration that ``rule`` cannot step: a finite one
-    on another background than the rule's quiescent state, or, for an
-    integer-state rule, one with a cell that is not a state."""
+    on another background than the rule's quiescent state, or one with
+    a cell that is not a state."""
     if isinstance(cfg, BiPeriodic):
         words = (cfg.left, cfg.center, cfg.right)
     elif isinstance(cfg, (Finite, Cyclic)):
@@ -342,67 +345,38 @@ def _check_config(rule, cfg):
     if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
         raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
-    if s is None:
-        return
     for value in itertools.chain.from_iterable(words):
         if not (isinstance(value, int) and 0 <= value < s):
             raise ValueError(f"state {value!r} out of range for {s} states")
 
 
-def _step_ring(rule, word):
-    local = rule.local
-    n = len(word)
-    return tuple(
-        local(*(word[(i + d) % n] for d in rule.neighborhood)) for i in range(n)
-    )
+def _batch_of(rule):
+    """The rule's batch evaluator: ``local_batch``, or else ``local``
+    applied element by element over the broadcast columns.  ``make_rule``
+    checks a table's outputs but trusts a callable's, so this path raises
+    ValueError on an image outside 0 .. s-1: steps and sweeps index by
+    images."""
+    if rule.local_batch is not None:
+        return rule.local_batch
+    local, s = rule.local, rule.state_count
 
+    def batch(cols):
+        cols = np.broadcast_arrays(*cols)
+        hoods = zip(*(col.ravel().tolist() for col in cols))
+        images = np.array([local(*hood) for hood in hoods], dtype=np.int64)
+        outside = np.flatnonzero((images < 0) | (images >= s))
+        if outside.size:
+            i = outside[0]
+            hood = tuple(int(col.flat[i]) for col in cols)
+            raise ValueError(f"local rule maps {hood} to {images[i]}, outside the states 0 .. {s - 1}")
+        return images.reshape(cols[0].shape)
 
-def _step_finite(rule, cfg):
-    if not cfg.word:
-        return Finite(0, (), cfg.quiescent)
-    nb = rule.neighborhood
-    wl, wr = window_growth(nb)
-    lo, hi = min(nb), max(nb)
-    length = len(cfg.word)
-    ws = cfg.offset - wl
-    we = cfg.offset + length - 1 + wr
-    src_lo = ws + lo
-    word = cfg.word
-    offset = cfg.offset
-    q = cfg.quiescent
-    src = [
-        word[p - offset] if 0 <= p - offset < length else q
-        for p in range(src_lo, we + hi + 1)
-    ]
-    local = rule.local
-    out = [
-        local(*(src[x - src_lo + d] for d in nb)) for x in range(ws, we + 1)
-    ]
-    return _canonicalize_finite(Finite(ws, tuple(out), q))
-
-
-def _step_cyclic(rule, cfg):
-    return Cyclic(_step_ring(rule, cfg.word))
-
-
-def _step_biperiodic(rule, cfg):
-    nb = rule.neighborhood
-    wl, wr = window_growth(nb)
-    lo, hi = min(nb), max(nb)
-    new_left = _step_ring(rule, cfg.left)
-    new_right = _step_ring(rule, cfg.right)
-    c0 = cfg.center_offset
-    ws = c0 - wl
-    we = c0 + len(cfg.center) - 1 + wr
-    src_lo = ws + lo
-    src = [cell_at(cfg, p) for p in range(src_lo, we + hi + 1)]
-    local = rule.local
-    out = [local(*(src[x - src_lo + d] for d in nb)) for x in range(ws, we + 1)]
-    return _canonicalize_biperiodic(BiPeriodic(new_left, tuple(out), ws, new_right))
+    return batch
 
 
 def step(rule, config):
-    """Apply the global map once and canonicalize the image.
+    """Apply the global map once and canonicalize the image: one step
+    of ``_run_rows``, whose image is canonical for any start.
 
     Finite support can grow by at most ``window_growth(rule.neighborhood)``
     cells per side; cyclic words keep their length; bi-periodic
@@ -410,32 +384,22 @@ def step(rule, config):
     global map) while the center is recomputed over a widened window.
     """
     _check_config(rule, config)
-    if isinstance(config, Finite):
-        return _step_finite(rule, config)
-    if isinstance(config, Cyclic):
-        return _step_cyclic(rule, config)
-    return _step_biperiodic(rule, config)
+    return _run_rows(rule, config, 1)[0][0]
 
 
 def run(rule, config, steps):
     """Step ``config`` repeatedly, returning a Trajectory of length steps + 1.
 
-    Integer-state rules with a ``local_batch`` step whole rows as numpy
-    arrays, kept as the trajectory's ``rows``; the configurations equal
-    iterated ``step``.  Other rules step one configuration at a time and
-    keep no rows.
+    Whole rows step as numpy arrays, kept as the trajectory's ``rows``;
+    the configurations equal iterated ``step``.
     """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
-    configs = [canonicalize(config)]
+    start = canonicalize(config)
     # Refused as ``step`` would refuse it, even when it is not stepped.
-    _check_config(rule, configs[0])
-    if rule.state_count is not None and rule.local_batch is not None:
-        stepped, rows = _run_rows(rule, configs[0], steps)
-        return Trajectory(rule, tuple(configs + stepped), tuple(rows))
-    for _ in range(steps):
-        configs.append(step(rule, configs[-1]))
-    return Trajectory(rule, tuple(configs))
+    _check_config(rule, start)
+    stepped, rows = _run_rows(rule, start, steps)
+    return Trajectory(rule, (start, *stepped), tuple(rows))
 
 
 def window_cells(config, x_min, x_max):
@@ -503,7 +467,7 @@ def _run_rows(rule, cfg, steps):
     it on each side, from which the stepped backgrounds are read.
     """
     nb = rule.neighborhood
-    batch = rule.local_batch
+    batch = _batch_of(rule)
     lo, hi = min(nb), max(nb)
     if isinstance(cfg, Cyclic):
         row = np.array(cfg.word, dtype=np.intp)
@@ -580,5 +544,5 @@ def _biperiodic_from_row(row, start, left, right, tiles):
 def _tile(word, n, tiles):
     tile = tiles.get(word)
     if tile is None or len(tile) < n + len(word):
-        tile = tiles[word] = np.resize(np.array(word, dtype=np.intp), n + len(word))
+        tile = tiles[word] = np.array(word * (n // len(word) + 2), dtype=np.intp)
     return tile

@@ -11,13 +11,20 @@ check.
 The quiescent pair is fixed to (0, 0) and the table must map it to
 itself so that finite configurations stay finite and block encodings
 have a time-stable background.
+
+Stepping writes the pair (c, r) as the integer code c*|R| + r, so
+(0, 0) is code 0, steps the codes with a 2-neighbor integer rule of
+``engine`` and writes the image back as pairs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from . import engine
 from .engine import BiPeriodic, Cyclic, Finite
@@ -57,6 +64,43 @@ class Rpca2:
     @property
     def state_count(self):
         return self.c_size * self.r_size
+
+    @cached_property
+    def _pairs(self):
+        """Every pair, at its code c*|R| + r."""
+        return tuple((c, r) for c in range(self.c_size) for r in range(self.r_size))
+
+    @cached_property
+    def _codes(self):
+        """The code of every pair."""
+        return {pair: code for code, pair in enumerate(self._pairs)}
+
+    @cached_property
+    def _images(self):
+        """The code of every pair's image, at the pair's code."""
+        return np.array([self._codes[self.table[c][r]] for c, r in self._pairs])
+
+    @cached_property
+    def _forward(self):
+        """The forward step on codes, offsets (0, -1): the code at x
+        becomes the image of c(x) with r(x - 1)."""
+        img, r = self._images, self.r_size
+        return _code_rule(self, (0, -1), lambda x, y: img[x - x % r + y % r])
+
+    @cached_property
+    def _backward(self):
+        """The backward step on codes, offsets (0, 1), for an injective
+        table: the code at x becomes the preimage's c at x with its r at
+        x + 1."""
+        pre, r = np.argsort(self._images), self.r_size
+        return _code_rule(self, (0, 1), lambda x, y: pre[x] - pre[x] % r + pre[y] % r)
+
+
+def _code_rule(p, neighborhood, codes):
+    """The 2-neighbor integer rule on the pair codes of ``p`` whose image
+    of the neighborhood (x, y) is ``codes(x, y)``, for arrays x and y."""
+    keys = np.indices((p.state_count, p.state_count)).reshape(2, -1).T
+    return engine.make_rule(p.state_count, neighborhood, (keys, codes(*keys.T)), 0)
 
 
 class RuleParseError(ValueError):
@@ -135,19 +179,26 @@ def _validate_config(p, config):
                 raise ValueError(f"cell {cell!r} is not a pair in {p.c_size}x{p.r_size}")
 
 
-def _forward_rule(p):
-    table = p.table
+def _recode(config, cell):
+    """``config`` with every cell, and a finite one's background, mapped
+    through ``cell``."""
+    if isinstance(config, Finite):
+        return Finite(config.offset, map(cell, config.word), cell(config.quiescent))
+    if isinstance(config, Cyclic):
+        return Cyclic(map(cell, config.word))
+    return BiPeriodic(map(cell, config.left), map(cell, config.center), config.center_offset, map(cell, config.right))
 
-    def local(here, left):
-        return table[here[0]][left[1]]
 
-    return engine.Rule(None, (0, -1), local, QUIESCENT_PAIR)
+def _step_codes(p, rule, config):
+    """One step of a pair configuration by the code rule ``rule``."""
+    _validate_config(p, config)
+    image = engine.step(rule, _recode(config, p._codes.__getitem__))
+    return _recode(image, p._pairs.__getitem__)
 
 
 def step_rpca(p, config):
     """One forward step: the cell at x becomes table[c(x)][r(x-1)]."""
-    _validate_config(p, config)
-    return engine.step(_forward_rule(p), config)
+    return _step_codes(p, p._forward, config)
 
 
 class _RpcaInverse:
@@ -162,19 +213,9 @@ class _RpcaInverse:
         if not check_local_injective(p):
             raise ValueError("table is not injective; no inverse exists")
         self.rpca = p
-        inverse = {}
-        for c in range(p.c_size):
-            for r in range(p.r_size):
-                inverse[p.table[c][r]] = (c, r)
-
-        def local(here, right, _inv=inverse):
-            return (_inv[here][0], _inv[right][1])
-
-        self._rule = engine.Rule(None, (0, 1), local, QUIESCENT_PAIR)
 
     def step_back(self, config):
-        _validate_config(self.rpca, config)
-        return engine.step(self._rule, config)
+        return _step_codes(self.rpca, self.rpca._backward, config)
 
 
 def invert_rpca(p):

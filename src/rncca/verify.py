@@ -13,9 +13,9 @@ numpy matrices.  Sweeps go in chunks of bounded size and fixed order;
 sampled ones draw every word in the documented order before stepping
 it.  The simulation oracles then rerun one start (the first failing
 one, or the last one on a pass) through the public stepping functions,
-which confirm the verdict and word the counterexample.  Rules without
-a ``local_batch`` evaluator are swept the same way, their ``local``
-applied element by element.  All sums are exact integer arithmetic.
+which confirm the verdict and word the counterexample.  Every sweep
+evaluates a rule through ``engine``'s batch evaluator, as stepping
+does.  All sums are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -130,36 +130,13 @@ def _digits(index, s, length):
     return tuple(index // s**i % s for i in reversed(range(length)))
 
 
-def _batch_of(rule):
-    """The rule's batch evaluator: ``local_batch``, or else ``local``
-    applied element by element over the broadcast columns.  ``make_rule``
-    checks a table's outputs but trusts a callable's, so this path raises
-    ValueError on an image outside 0 .. s-1: the sweeps index by images."""
-    if rule.local_batch is not None:
-        return rule.local_batch
-    local, s = rule.local, rule.state_count
-
-    def batch(cols):
-        cols = np.broadcast_arrays(*cols)
-        hoods = zip(*(col.ravel().tolist() for col in cols))
-        images = np.array([local(*hood) for hood in hoods], dtype=np.int64)
-        outside = np.flatnonzero((images < 0) | (images >= s))
-        if outside.size:
-            i = outside[0]
-            hood = tuple(int(col.flat[i]) for col in cols)
-            raise ValueError(f"local rule maps {hood} to {images[i]}, outside the states 0 .. {s - 1}")
-        return images.reshape(cols[0].shape)
-
-    return batch
-
-
 def _image_cells(rule, cols, cyclic):
     """One step of the words whose cell i is ``cols[i]``, for columns
     that broadcast together: the image's cells, as columns that
     broadcast against them.  Cyclic words wrap around; finite words are
     zero-padded and their image covers the widened window."""
     nb = rule.neighborhood
-    batch = _batch_of(rule)
+    batch = engine._batch_of(rule)
     n = len(cols)
     if cyclic:
         return [batch([cols[(i + d) % n] for d in nb]) for i in range(n)]
@@ -169,11 +146,6 @@ def _image_cells(rule, cols, cyclic):
         batch([cols[x + d] if 0 <= x + d < n else zero for d in nb])
         for x in range(-wl, n + wr)
     ]
-
-
-def _finite_images(rule, words):
-    """One step of the words in the rows of ``words``, as a matrix."""
-    return np.stack(np.broadcast_arrays(*_image_cells(rule, list(words.T), False)), axis=1)
 
 
 def _cyclic_images(rule, words):
@@ -523,8 +495,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
 
 def _pair_words(p, mode, max_support, count, seed, exact=False):
     if mode == "exhaustive":
-        pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
-        yield from itertools.product(pairs, repeat=max_support)
+        yield from itertools.product(p._pairs, repeat=max_support)
     elif mode == "sampled":
         rng = random.Random(seed)
         for _ in range(count):
@@ -549,7 +520,7 @@ def _start_rows(p, mode, max_support, count, seed, rows):
     while chunk := list(itertools.islice(words, rows)):
         codes = np.zeros((len(chunk), max_support), dtype=np.int64)
         for i, word in enumerate(chunk):
-            codes[i, : len(word)] = [c * p.r_size + r for c, r in word]
+            codes[i, : len(word)] = [p._codes[pair] for pair in word]
         yield codes
 
 
@@ -586,14 +557,12 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     so rows are equal exactly when the canonical configurations are.
     """
     code = rule.code
-    pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
     # Source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
-    table = np.array([c * p.r_size + r for c, r in (p.table[c][r] for c, r in pairs)], dtype=np.intp)
+    forward = p._forward.local_batch
     # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
     blocks = np.array(
-        [_encode(code, Cyclic((pair,)), k).word for pair in pairs],
-        dtype=np.min_scalar_type(code.state_count - 1),
-    )
+        _encode(code, Cyclic(p._pairs), k).word, dtype=np.min_scalar_type(code.state_count - 1)
+    ).reshape(-1, k)
     horizon = max(periods) * steps
     left, right = _padding(rule, k, horizon, steps)
     n, length = words.shape
@@ -603,14 +572,14 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     for _ in range(steps):
         before = np.zeros_like(source)  # cell x - 1; quiescent left of the row
         before[:, 1:] = source[:, :-1]
-        source = table[source - source % p.r_size + before % p.r_size]
+        source = forward([source, before])
         encoded.append(blocks[source].reshape(n, -1))
     compared = {}
     for i, q in enumerate(periods):
         for t in range(1, steps + 1):
             compared.setdefault(q * t, []).append((i, t))
     nb = rule.neighborhood
-    batch = _batch_of(rule)
+    batch = engine._batch_of(rule)
     lo, hi = min(nb), max(nb)
     width = encoded[0].shape[1]
     row = encoded[0].astype(np.intp)
@@ -629,20 +598,18 @@ def _tracking_failures(p, rule, k, words, periods, steps):
 
 def _track_start(p, rule, k, codes, periods, steps):
     """One start (pair codes ``codes``) through the public functions:
-    ``step_rpca``, the block encoding and ``engine.step``.  Returns the
+    ``step_rpca``, the block encoding and ``engine.run``.  Returns the
     periods q whose q derived steps track every source step and, when
     none does, the counterexample: the first t at which k derived steps
     per source step miss."""
-    word = tuple(divmod(int(v), p.r_size) for v in codes)
+    word = tuple(p._pairs[v] for v in codes.tolist())
     alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
     encoded = [_encode(rule.code, alpha, k)]
     source = alpha
     for _ in range(steps):
         source = step_rpca(p, source)
         encoded.append(_encode(rule.code, source, k))
-    trajectory = [encoded[0]]
-    for _ in range(max(periods) * steps):
-        trajectory.append(engine.step(rule, trajectory[-1]))
+    trajectory = engine.run(rule, encoded[0], max(periods) * steps).configs
     surviving = [
         q for q in periods if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
     ]

@@ -1,0 +1,86 @@
+"""The per-cell stepper that ``engine`` used before every step went
+through its numpy row stepper, kept as an independent reference.
+
+It evaluates ``rule.local`` once per cell of the widened window, on any
+hashable cell values, and reads nothing of ``rule`` but ``neighborhood``
+and ``local``: ``LocalRule`` supplies those for a local map that is not
+an ``engine.Rule``, such as one over partitioned pairs.
+"""
+
+from typing import Callable, NamedTuple
+
+from rncca.engine import (
+    BiPeriodic,
+    Cyclic,
+    Finite,
+    _canonicalize_biperiodic,
+    _canonicalize_finite,
+    cell_at,
+    window_growth,
+)
+
+
+class LocalRule(NamedTuple):
+    neighborhood: tuple
+    local: Callable
+
+
+def reference_step(rule, config):
+    """One step of ``config``, cell by cell, canonicalized."""
+    if isinstance(config, Finite):
+        return _step_finite(rule, config)
+    if isinstance(config, Cyclic):
+        return _step_cyclic(rule, config)
+    return _step_biperiodic(rule, config)
+
+
+def _step_ring(rule, word):
+    local = rule.local
+    n = len(word)
+    return tuple(
+        local(*(word[(i + d) % n] for d in rule.neighborhood)) for i in range(n)
+    )
+
+
+def _step_finite(rule, cfg):
+    if not cfg.word:
+        return Finite(0, (), cfg.quiescent)
+    nb = rule.neighborhood
+    wl, wr = window_growth(nb)
+    lo, hi = min(nb), max(nb)
+    length = len(cfg.word)
+    ws = cfg.offset - wl
+    we = cfg.offset + length - 1 + wr
+    src_lo = ws + lo
+    word = cfg.word
+    offset = cfg.offset
+    q = cfg.quiescent
+    src = [
+        word[p - offset] if 0 <= p - offset < length else q
+        for p in range(src_lo, we + hi + 1)
+    ]
+    local = rule.local
+    out = [
+        local(*(src[x - src_lo + d] for d in nb)) for x in range(ws, we + 1)
+    ]
+    return _canonicalize_finite(Finite(ws, tuple(out), q))
+
+
+def _step_cyclic(rule, cfg):
+    return Cyclic(_step_ring(rule, cfg.word))
+
+
+def _step_biperiodic(rule, cfg):
+    nb = rule.neighborhood
+    wl, wr = window_growth(nb)
+    lo, hi = min(nb), max(nb)
+    new_left = _step_ring(rule, cfg.left)
+    new_right = _step_ring(rule, cfg.right)
+    c0 = cfg.center_offset
+    ws = c0 - wl
+    we = c0 + len(cfg.center) - 1 + wr
+    src_lo = ws + lo
+    src = [cell_at(cfg, p) for p in range(src_lo, we + hi + 1)]
+    local = rule.local
+    out = [local(*(src[x - src_lo + d] for d in nb)) for x in range(ws, we + 1)]
+    return _canonicalize_biperiodic(BiPeriodic(new_left, tuple(out), ws, new_right))

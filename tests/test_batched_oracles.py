@@ -3,7 +3,8 @@
 ``reference_*`` below are the earlier per-configuration implementations
 of ``simulate``, ``tauprime --spacing`` and sampled ``conserve`` /
 ``inject``, kept verbatim apart from taking the derived rule as an
-argument and returning the report fields.  Every batched report must
+argument, returning the report fields and stepping the derived rule
+with the per-cell reference stepper.  Every batched report must
 equal them in property, domain, verdict and counterexample.  The mass
 ledger, now summed over numpy rows, is held to its per-cell version the
 same way.
@@ -25,6 +26,7 @@ from rncca.engine import BiPeriodic, Cyclic, Finite, Trajectory, cell_at, make_r
 from rncca.formats import format_configuration
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca, step_rpca
 from rncca.verify import Counterexample
+from reference_stepper import reference_step
 
 XOR = example_rpca("xor")
 
@@ -61,7 +63,7 @@ def reference_simulate(p, rule, *, mode="exhaustive", max_support=4, steps=4, co
         derived = encode_tau(code, alpha)
         for t in range(1, steps + 1):
             source = step_rpca(p, source)
-            derived = engine.step(rule, engine.step(rule, derived))
+            derived = reference_step(rule, reference_step(rule, derived))
             expected = encode_tau(code, source)
             if derived != expected:
                 counterexample = Counterexample(
@@ -136,7 +138,7 @@ def reference_conserve_sampled(rule, *, max_support, count, seed):
         length = rng.randint(1, max_support)
         word = tuple(rng.randrange(s) for _ in range(length))
         cfg = Finite(0, word, 0) if i % 2 == 0 else Cyclic(word)
-        stepped = engine.step(rule, cfg)
+        stepped = reference_step(rule, cfg)
         before, after = sum(cfg.word), sum(stepped.word)
         if before != after:
             counterexample = Counterexample(
@@ -156,7 +158,7 @@ def reference_inject_sampled(rule, n, *, count, seed):
     counterexample = None
     for _ in range(count):
         word = tuple(rng.randrange(s) for _ in range(n))
-        image = engine.step(rule, Cyclic(word)).word
+        image = reference_step(rule, Cyclic(word)).word
         if image in seen and seen[image] != word:
             counterexample = Counterexample(
                 input=f"{verify._word_literal(seen[image], True)} and {verify._word_literal(word, True)}",

@@ -226,6 +226,21 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
 
 
 @pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("verify-simulate.txt", ["simulate", "--support", "3", "--steps", "4"]),
+        ("verify-tauprime.txt", ["tauprime", "--spacing", "3", "--support", "2", "--steps", "2"]),
+        ("verify-tauprime-gaps.txt", ["tauprime", "--gaps", "1,2", "--sampled", "20", "--seed", "1"]),
+    ],
+)
+def test_verify_passing_reports_match_golden_reports(capsys, golden, args):
+    # The same reports as the CI step that runs the installed script.
+    assert main(["verify", str(GOLDEN / "rule.rpca"), *args]) == 0
+    out = re.sub(r"elapsed_ms=\d+", "elapsed_ms=MASKED", capsys.readouterr().out)
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
     "golden, config, args",
     [
         ("run.txt", "embed-tau.cfg", ["--steps", "12"]),

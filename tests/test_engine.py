@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -99,6 +100,16 @@ def test_quiescent_cyclic_fixed_point():
 def test_step_rejects_out_of_range_state():
     with pytest.raises(ValueError):
         step(right_shift(), Finite(0, [2], 0))
+
+
+def test_callable_images_outside_the_states_are_refused_while_stepping():
+    doubling = make_rule(3, (0,), lambda x: 2 * x, 0)
+    assert step(doubling, Finite(0, [1], 0)) == Finite(0, (2,), 0)
+    message = "local rule maps (2,) to 4, outside the states 0 .. 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step(doubling, Finite(0, [2], 0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(doubling, Cyclic([1, 0]), 2)
 
 
 def test_step_rejects_mismatched_background():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rncca.verify as verify
+from rncca import engine
 from rncca.cli import main
 from rncca.convert import convert
 from rncca.engine import Cyclic, Finite, make_rule, window_growth
@@ -537,7 +538,7 @@ def test_batch_evaluators_broadcast(seed):
     assert tabled.local_batch is not None and callable_form.local_batch is None
     for rule in (derived, tabled, callable_form):
         cols = broadcast_columns(rng, rule.state_count, len(rule.neighborhood))
-        got = verify._batch_of(rule)(cols)
+        got = engine._batch_of(rule)(cols)
         assert got.shape == np.broadcast_shapes(*(col.shape for col in cols))
         assert np.array_equal(got, expected_from_local(rule, cols))
 
@@ -548,7 +549,7 @@ def test_sweeps_pass_only_arrays_with_an_axis():
     seen = []
 
     def recording(rule):
-        batch = verify._batch_of(rule)
+        batch = engine._batch_of(rule)
 
         def local_batch(cols):
             seen.extend((type(col), col.ndim) for col in cols)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncca.engine import Cyclic, Finite, canonicalize, step
+from rncca.engine import BiPeriodic, Cyclic, Finite, canonicalize
 from rncca.rpca import (
     QUIESCENT_PAIR,
     RuleParseError,
@@ -16,6 +16,7 @@ from rncca.rpca import (
     parse_rpca,
     step_rpca,
 )
+from reference_stepper import LocalRule, reference_step
 
 XOR = example_rpca("xor")
 
@@ -252,3 +253,45 @@ def test_parse_rpca_raises_only_rule_parse_errors(text):
         assert 1 <= exc.line <= max(1, len(text.splitlines()))
         return
     assert parse_rpca(format_rpca(p)) == p
+
+
+@st.composite
+def pair_tables(draw, injective):
+    """A random table up to 3x4 that fixes (0, 0): a seeded permutation,
+    or any map."""
+    c_size, r_size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if injective:
+        return example_rpca("random", c_size, r_size, seed=draw(st.integers(0, 10**6)))
+    pair = st.tuples(st.integers(0, c_size - 1), st.integers(0, r_size - 1))
+    rows = [[draw(pair) for _ in range(r_size)] for _ in range(c_size)]
+    rows[0][0] = QUIESCENT_PAIR
+    return make_rpca(c_size, r_size, rows)
+
+
+@st.composite
+def pair_configurations(draw, p):
+    """Any shape of pair configuration, often not canonical."""
+    pair = st.tuples(st.integers(0, p.c_size - 1), st.integers(0, p.r_size - 1))
+    word = lambda lo, hi: draw(st.lists(pair, min_size=lo, max_size=hi))
+    shape = draw(st.sampled_from(["finite", "cyclic", "biperiodic"]))
+    if shape == "finite":
+        return Finite(draw(st.integers(-4, 4)), word(0, 6), QUIESCENT_PAIR)
+    if shape == "cyclic":
+        return Cyclic(word(1, 6))
+    return BiPeriodic(word(1, 3), word(0, 5), draw(st.integers(-4, 4)), word(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_steps_equal_the_per_cell_reference(data):
+    # Stepping goes through integer codes; the reference steps the pairs
+    # themselves, cell by cell.
+    p = data.draw(pair_tables(injective=False))
+    cfg = data.draw(pair_configurations(p))
+    forward = LocalRule((0, -1), lambda here, left: p.table[here[0]][left[1]])
+    assert step_rpca(p, cfg) == reference_step(forward, cfg)
+    p = data.draw(pair_tables(injective=True))
+    cfg = data.draw(pair_configurations(p))
+    inverse = {p.table[c][r]: (c, r) for c in range(p.c_size) for r in range(p.r_size)}
+    backward = LocalRule((0, 1), lambda here, right: (inverse[here][0], inverse[right][1]))
+    assert invert_rpca(p).step_back(cfg) == reference_step(backward, cfg)

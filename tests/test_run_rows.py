@@ -1,5 +1,6 @@
-"""``run`` steps numpy rows for integer-state rules with a batch
-evaluator; it must agree with iterated ``step`` on every shape."""
+"""``step`` and ``run`` step numpy rows; both must agree with the
+per-cell reference stepper on every shape, for table rules, computed
+rules with a ``local_batch`` and callables without one."""
 
 import dataclasses
 import itertools
@@ -12,14 +13,24 @@ from hypothesis import strategies as st
 from rncca.convert import convert
 from rncca.engine import BiPeriodic, Cyclic, Finite, canonicalize, make_rule, run, step
 from rncca.rpca import example_rpca
+from reference_stepper import reference_step
 
 
-def random_table_rule(states, neighborhood, seed):
+def random_table(states, neighborhood, seed):
     rng = random.Random(seed)
     keys = itertools.product(range(states), repeat=len(neighborhood))
     table = {key: rng.randrange(states) for key in keys}
     table[(0,) * len(neighborhood)] = 0
-    return make_rule(states, neighborhood, table, 0)
+    return table
+
+
+def random_table_rule(states, neighborhood, seed):
+    return make_rule(states, neighborhood, random_table(states, neighborhood, seed), 0)
+
+
+def random_callable_rule(states, neighborhood, seed):
+    table = random_table(states, neighborhood, seed)
+    return make_rule(states, neighborhood, lambda *cells: table[cells], 0)
 
 
 RULES = [
@@ -28,6 +39,7 @@ RULES = [
     random_table_rule(3, (0, 1), seed=1),
     random_table_rule(3, (-1, 0, 1), seed=2),
     random_table_rule(3, (1, 2), seed=3),
+    random_callable_rule(3, (-2, 0), seed=4),
 ]
 
 
@@ -54,16 +66,17 @@ def configurations(draw, states):
 @given(st.data())
 def test_run_equals_iterated_step(data):
     rule = data.draw(st.sampled_from(RULES))
-    assert rule.local_batch is not None
     config = data.draw(configurations(rule.state_count))
     steps = data.draw(st.integers(0, 6))
     configs = run(rule, config, steps).configs
     assert len(configs) == steps + 1
     assert configs[0] == canonicalize(config)
+    assert step(rule, config) == reference_step(rule, config)
     expected = config
     for t in range(1, steps + 1):
-        expected = step(rule, expected)
+        expected = reference_step(rule, expected)
         assert configs[t] == expected
+        assert step(rule, configs[t - 1]) == expected
 
 
 @settings(max_examples=100, deadline=None)

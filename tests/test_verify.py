@@ -61,11 +61,11 @@ def test_vectorized_finite_sweep_matches_engine_step():
     import numpy as np
 
     from rncca.engine import cell_at, step
-    from rncca.verify import _finite_images
+    from rncca.verify import _image_cells
 
     rng = np.random.default_rng(2)
     words = rng.integers(0, 16, size=(100, 5))
-    images = _finite_images(XOR_RULE, words)
+    images = np.stack(_image_cells(XOR_RULE, list(words.T), False), axis=1)
     for row in range(100):
         cfg = step(XOR_RULE, Finite(0, [int(v) for v in words[row]], 0))
         got = [int(v) for v in images[row]]
