@@ -332,15 +332,7 @@ def _encode(code, config, k, gaps=None):
     elif isinstance(config, Cyclic) and len(gaps) != n:
         raise ValueError(f"need {n} gaps for a cyclic word of {n} blocks")
     blocks = np.array(_block_values(code, word), dtype=np.intp).reshape(n, 2)
-    # Block i starts after i blocks and the gaps before it.
-    starts = np.zeros(n, dtype=np.intp)
-    np.cumsum(np.asarray(gaps[: n - 1], dtype=np.intp) + 2, out=starts[1:])
-    length = int(starts[-1]) + 2 if n else 0
-    if isinstance(config, Cyclic):
-        length += gaps[-1]
-    elif n:
-        pad = min(1, k - 2)
-        length += -(length + pad) % k + pad
+    starts, length = _layout(n, gaps, k, isinstance(config, Cyclic))
     cells = np.zeros(length, dtype=np.intp)
     cells[starts] = blocks[:, 0]
     cells[starts + 1] = blocks[:, 1]
@@ -348,6 +340,23 @@ def _encode(code, config, k, gaps=None):
         return Cyclic(tuple(cells.tolist()))
     background = code.quiescent_block + (0,) * (k - 2)
     return engine.canonicalize(BiPeriodic(background, tuple(cells.tolist()), k * config.offset, background))
+
+
+def _layout(n, gaps, k, cyclic):
+    """Where ``_encode`` puts each of n blocks, counted from the first,
+    and how many cells it lays out from there: up to the first block
+    again for a cyclic word, and for a finite one up to the next
+    background block at least one cell on (none when k = 2)."""
+    # Block i starts after i blocks and the gaps before it.
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(np.asarray(gaps[: n - 1], dtype=np.intp) + 2, out=starts[1:])
+    length = int(starts[-1]) + 2 if n else 0
+    if cyclic:
+        length += gaps[-1]
+    elif n:
+        pad = min(1, k - 2)
+        length += -(length + pad) % k + pad
+    return starts, length
 
 
 def _block_values(code, word):
@@ -401,10 +410,15 @@ def encode_tau_prime(code, config, k=None, gaps=None):
         if k < 3:
             raise ValueError("uniform spacing needs k >= 3; k = 2 is the plain block encoding")
         return _encode(code, config, k)
+    return _encode(code, config, 3, _gap_list(gaps))
+
+
+def _gap_list(gaps):
+    """``gaps`` as integers, each leaving at least one quiescent cell."""
     gaps = [int(g) for g in gaps]
     if any(g < 1 for g in gaps):
         raise ValueError("every gap must leave at least one quiescent cell")
-    return _encode(code, config, 3, gaps)
+    return gaps
 
 
 class TauDecodeError(ValueError):

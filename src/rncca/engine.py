@@ -209,8 +209,20 @@ def _flat_table(s, m, keys, outputs):
     if size > len(keys):
         distinct = len(set(map(tuple, keys.tolist())))
         raise ValueError(f"local map must cover all {size} neighborhoods, got {distinct}")
+    weights = (s ** np.arange(m - 1, -1, -1)).astype(np.int64)
+    if (
+        len(keys) == len(outputs) == size
+        and keys.min() >= 0
+        and keys.max() < s
+        and outputs.min() >= 0
+        and outputs.max() < s
+        and np.array_equal(keys @ weights, np.arange(size))
+    ):
+        # Every neighborhood once, in order, to a state: the outputs are
+        # the table, with no sort.
+        return outputs.astype(np.int64)
     inside = ((keys >= 0) & (keys < s)).all(axis=1)
-    idx = keys[inside].astype(np.int64) @ (s ** np.arange(m - 1, -1, -1)).astype(np.int64)
+    idx = keys[inside].astype(np.int64) @ weights
     order = np.argsort(idx, kind="stable")
     starts = np.ones(len(idx), dtype=bool)
     starts[1:] = idx[order[1:]] != idx[order[:-1]]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .convert import _encode, convert, encode_tau_prime
+from .convert import _block_values, _encode, _gap_list, _layout, convert, encode_tau_prime
 from .engine import Cyclic, Finite, Trajectory, window_growth
 from .formats import format_configuration
 from .rpca import QUIESCENT_PAIR, step_rpca
@@ -507,16 +507,17 @@ def _pair_words(p, mode, max_support, count, seed, exact=False):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _start_rows(p, mode, max_support, count, seed, rows):
+def _start_rows(p, mode, max_support, count, seed, rows, exact=False):
     """The starts of ``_pair_words``, at most ``rows`` at a time, as
     matrices of pair codes c*|R| + r on source cells 0..max_support-1.
-    Shorter sampled words are padded with the quiescent code 0."""
+    Shorter sampled words (none when ``exact``) are padded with the
+    quiescent code 0."""
     if mode == "exhaustive":
         # Lexicographic codes are itertools.product order over the pairs.
         for _, cols in _grids(p.c_size * p.r_size, max_support, rows):
             yield np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, max_support)
         return
-    words = _pair_words(p, mode, max_support, count, seed)
+    words = _pair_words(p, mode, max_support, count, seed, exact)
     while chunk := list(itertools.islice(words, rows)):
         codes = np.zeros((len(chunk), max_support), dtype=np.int64)
         for i, word in enumerate(chunk):
@@ -632,15 +633,92 @@ def _track_start(p, rule, k, codes, periods, steps):
     )
 
 
-def _confirm(found, swept, codes):
-    """The sweep's periods for one start must be those the public
-    functions find; anything else is a fault in the batched path or a
-    rule whose ``local`` and ``local_batch`` disagree."""
+def _confirm(found, swept, codes, what="periods"):
+    """The sweep's verdict for one start (its periods, say) must be the
+    one the public functions find; anything else is a fault in the
+    batched path or a rule whose batch evaluator disagrees with itself
+    across row shapes."""
     if found != swept:
         raise RuntimeError(
-            f"batched sweep found periods {swept} for start {codes.tolist()},"
+            f"batched sweep found {what} {swept} for start {codes.tolist()},"
             f" per-configuration stepping {found}"
         )
+
+
+def _ledger_row(rule, gaps, steps):
+    """The rows ``_ledger_failures`` steps: where ``convert._encode``
+    puts each block from cell 0, how many cells it lays out, and the
+    first cell and width of a row.  Every ledger window, widened
+    included, lies in cells -3 .. cells + 3, its light part up to
+    ``steps`` cells further right; a row this wide still holds those
+    cells after ``steps`` steps."""
+    starts, cells = _layout(len(gaps) + 1, gaps, 3, cyclic=False)
+    nb = rule.neighborhood
+    x0 = -3 + min(min(nb), 0) * steps
+    return starts, cells, x0, cells + 4 + max(1 + max(nb), 0) * steps - x0
+
+
+def _ledger_failures(p, rule, gaps, words, steps):
+    """Which starts ``ledger_is_constant`` fails, for many starts.
+
+    ``words`` holds one start per row, as from ``_start_rows``: start j
+    is the finite pair word ``words[j]`` at offset 0, encoded as
+    ``encode_tau_prime`` encodes it with ``gaps``.  Returns ``bad`` with
+    ``bad[j]`` true when none of the ledger's windows (the start's
+    ``_aligned_window`` and its three widenings) keeps both its heavy sum
+    and its light sum, taken t cells on, constant for t = 0..steps.
+
+    Each start is one row: the pinned spacing-3 background with, from
+    cell 0, the block layout of ``convert._encode``.  A step computes
+    exactly the cells whose whole neighborhood the row holds, so every
+    sum is read from exact cells, as prefix sums along the stepped rows.
+    """
+    code = rule.code
+    nb = rule.neighborhood
+    batch = engine._batch_of(rule)
+    lo, hi = min(nb), max(nb)
+    n = len(words)
+    starts, cells, x0, width = _ledger_row(rule, gaps, steps)
+    background = np.array(code.quiescent_block + (0,), dtype=np.intp)[np.arange(x0, x0 + width) % 3]
+    row = np.tile(background, (n, 1))
+    row[:, -x0 : cells - x0] = 0
+    blocks = np.array(_block_values(code, p._pairs), dtype=np.intp)  # (hat, check) by pair code
+    row[:, starts - x0] = blocks[words, 0]
+    row[:, starts - x0 + 1] = blocks[words, 1]
+    # The canonical center: the first and last cells off the background;
+    # an empty one sits at 0.  As in ``_aligned_window``, the window runs
+    # two cells past the even cell at or before it and the odd cell at or
+    # after it.
+    off = row != background
+    live = off.any(axis=1)
+    first = np.where(live, off.argmax(axis=1) + x0, 0)
+    last = np.where(live, x0 + width - 1 - off[:, ::-1].argmax(axis=1), 0)
+    a, b = first - first % 2 - 2, last + 1 - last % 2 + 2
+    # A sum over cells u..v is prefix[v + 1] - prefix[u]; ``ends`` holds the
+    # prefix indices a - 1, a, b + 1 and b + 2, and ``windows`` picks
+    # (a, b), (a - 1, b), (a, b + 1) and (a - 1, b + 1) from them.
+    ends = np.stack([a - 1, a, b + 1, b + 2], axis=1)
+    upper, lower = [2, 2, 3, 3], [1, 0, 1, 0]
+    prefix = np.zeros((n, width + 1), dtype=np.int64)
+
+    def windows(part, at):
+        np.cumsum(part, axis=1, out=prefix[:, 1 : part.shape[1] + 1])
+        sums = np.take_along_axis(prefix, at, axis=1)
+        return sums[:, upper] - sums[:, lower]
+
+    def ledger(row, t):
+        """Heavy sums of the four windows, then light sums t cells on."""
+        at = ends - (x0 - lo * t)  # the row after t steps starts at x0 - lo*t
+        light = row % code.light_modulus
+        return np.concatenate([windows(row - light, at), windows(light, at + t)], axis=1)
+
+    initial = ledger(row, 0)
+    steady = np.ones(initial.shape, dtype=bool)
+    for t in range(1, steps + 1):
+        # As in engine._run_rows, each step drops hi - lo cells.
+        row = batch([row[:, d - lo : d - lo + row.shape[1] - (hi - lo)] for d in nb]).astype(np.intp)
+        steady &= ledger(row, t) == initial
+    return ~(steady[:, :4] & steady[:, 4:]).any(axis=1)
 
 
 def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
@@ -683,7 +761,9 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     is checked on a whole chunk of starts at once.  k = 2 delegates to
     the plain two-step check.  A gap list switches to the mass-ledger-only
     check: heavy and light window sums must stay constant for ``steps``
-    steps (the light window advancing one cell per step).
+    steps (the light window advancing one cell per step), as
+    ``ledger_is_constant`` decides; the starts of a chunk step together,
+    and their ledgers are read off the stepped rows.
     """
     started = time.perf_counter()
     if (k is None) == (gaps is None):
@@ -695,25 +775,33 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     rule = convert(p)
     code = rule.code
     if gaps is not None:
-        gaps = [int(g) for g in gaps]
+        gaps = _gap_list(gaps)
         length = len(gaps) + 1
         domain = (
             f"{mode} pairs={p.c_size}x{p.r_size} gaps={','.join(map(str, gaps))} "
             f"blocks={length} steps={steps}"
             + (f" count={count} seed={seed}" if mode == "sampled" else "")
         )
-        counterexample = None
-        for word in _pair_words(p, mode, length, count, seed, exact=True):
-            cfg = encode_tau_prime(code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
-            trajectory = engine.run(rule, cfg, steps)
-            ok, ledger = ledger_is_constant(code, trajectory)
-            if not ok:
-                counterexample = Counterexample(
-                    input=format_configuration(cfg),
-                    expected="constant heavy and light window sums",
-                    actual=f"window={ledger.window} rows={ledger.rows}",
-                )
+        rows = max(1, _ROW_CELLS // _ledger_row(rule, gaps, steps)[3])
+        for words in _start_rows(p, mode, length, count, seed, rows, exact=True):
+            failing = np.flatnonzero(_ledger_failures(p, rule, gaps, words, steps))
+            failed = bool(failing.size)
+            start = words[failing[0] if failed else -1]
+            if failed:
                 break
+        # As in simulate, the public functions confirm the sweep on one
+        # start (the first failing one, else the last) and word the report.
+        word = tuple(p._pairs[v] for v in start.tolist())
+        cfg = encode_tau_prime(code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
+        ok, ledger = ledger_is_constant(code, engine.run(rule, cfg, steps))
+        _confirm(ok, not failed, start, "a constant ledger")
+        counterexample = None
+        if not ok:
+            counterexample = Counterexample(
+                input=format_configuration(cfg),
+                expected="constant heavy and light window sums",
+                actual=f"window={ledger.window} rows={ledger.rows}",
+            )
         return _report("tauprime", domain, counterexample, started)
     k = int(k)
     if k == 2:

@@ -1,53 +1,41 @@
 """The batched oracles against the per-start loops they replaced.
 
-``reference_*`` below are the earlier per-configuration implementations
-of ``simulate``, ``tauprime --spacing`` and sampled ``conserve`` /
-``inject``, kept verbatim apart from taking the derived rule as an
-argument, returning the report fields and stepping the derived rule
-with the per-cell reference stepper.  Every batched report must
-equal them in property, domain, verdict and counterexample.  The mass
-ledger, now summed over numpy rows, is held to its per-cell version the
-same way.
+``reference_*`` below, and in ``reference_oracles``, are the earlier
+per-configuration implementations of ``simulate``, ``tauprime
+--spacing``, ``tauprime --gaps`` and sampled ``conserve`` / ``inject``,
+kept verbatim apart from taking the derived rule as an argument,
+returning the report fields and stepping the derived rule with the
+per-cell reference stepper.  Every batched report must equal them in
+property, domain, verdict and counterexample.  The mass ledger, now
+summed over numpy rows, is held to its per-cell version the same way.
 """
 
 import dataclasses
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rncca.verify as verify
 from rncca import engine
-from rncca.convert import convert, encode_tau, encode_tau_prime, heavy_part, light_part
-from rncca.engine import BiPeriodic, Cyclic, Finite, Trajectory, cell_at, make_rule, window_growth
+from rncca.convert import convert, encode_tau, encode_tau_prime
+from rncca.engine import BiPeriodic, Cyclic, Finite, make_rule, window_growth
 from rncca.formats import format_configuration
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca, step_rpca
 from rncca.verify import Counterexample
+from reference_oracles import (
+    fields,
+    reached_mutation,
+    reference_ledger_is_constant,
+    reference_mass_ledger,
+    reference_pair_words,
+    reference_tauprime_gaps,
+)
 from reference_stepper import reference_step
 
 XOR = example_rpca("xor")
-
-
-def fields(report):
-    return (report.property, report.domain, report.passed, report.counterexample)
-
-
-def reference_pair_words(p, mode, max_support, count, seed, exact=False):
-    if mode == "exhaustive":
-        pairs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
-        yield from itertools.product(pairs, repeat=max_support)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        for _ in range(count):
-            length = max_support if exact else rng.randint(1, max_support)
-            yield tuple(
-                (rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(length)
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def reference_simulate(p, rule, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
@@ -170,33 +158,6 @@ def reference_inject_sampled(rule, n, *, count, seed):
     return ("inject", domain, counterexample is None, counterexample)
 
 
-def reference_mass_ledger(code, trajectory, window=None):
-    configs = trajectory.configs if isinstance(trajectory, Trajectory) else tuple(trajectory)
-    if window is None:
-        window = verify._aligned_window(configs[0])
-    a, b = window
-    rows = []
-    for t, cfg in enumerate(configs):
-        if isinstance(cfg, Cyclic):
-            heavy = sum(heavy_part(code, q) for q in cfg.word)
-            light = sum(light_part(code, q) for q in cfg.word)
-        else:
-            heavy = sum(heavy_part(code, cell_at(cfg, x)) for x in range(a, b + 1))
-            light = sum(light_part(code, cell_at(cfg, x)) for x in range(a + t, b + t + 1))
-        rows.append((t, heavy, light))
-    return verify.MassLedger((a, b), tuple(rows))
-
-
-def reference_ledger_is_constant(code, trajectory, window=None):
-    ledger = reference_mass_ledger(code, trajectory, window)
-    a, b = ledger.window
-    retries = ((a - 1, b), (a, b + 1), (a - 1, b + 1))
-    for led in itertools.chain([ledger], (reference_mass_ledger(code, trajectory, w) for w in retries)):
-        if len({row[1] for row in led.rows}) == 1 and len({row[2] for row in led.rows}) == 1:
-            return True, led
-    return False, ledger
-
-
 @st.composite
 def reversible_tables(draw, max_side=3):
     c_size = draw(st.integers(1, max_side))
@@ -223,41 +184,6 @@ def bounds(draw, p, max_exhaustive_starts, max_steps):
         count=draw(st.integers(1, 30)),
         seed=draw(st.integers(0, 2**31)),
     )
-
-
-def mutated(rule, key, value):
-    """``rule`` with one entry of its reduced table, indexed by
-    (light(q-2), q-1, q0, heavy(q1) // 2|R|), replaced by ``value``."""
-    two_r = rule.code.light_modulus
-
-    def local(a, b, c, d):
-        if (a % two_r, b, c, d // two_r) == key:
-            return value
-        return rule.local(a, b, c, d)
-
-    def local_batch(cols):
-        a, b, c, d = (np.asarray(col) for col in cols)
-        out = np.array(rule.local_batch(cols))
-        out[(a % two_r == key[0]) & (b == key[1]) & (c == key[2]) & (d // two_r == key[3])] = value
-        return out
-
-    return dataclasses.replace(rule, local=local, local_batch=local_batch)
-
-
-def reached_mutation(p, rule, rng, support, steps, k=2):
-    """``rule`` with a changed entry that the derived run of a random
-    start of the given support, under spacing k, reaches within k * steps
-    steps."""
-    two_r = rule.code.light_modulus
-    word = tuple((rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(support))
-    alpha = Finite(0, word, QUIESCENT_PAIR)
-    start = encode_tau(rule.code, alpha) if k == 2 else encode_tau_prime(rule.code, alpha, k=k)
-    config = engine.run(rule, start, k * steps).configs[rng.randrange(k * steps)]
-    x = config.center_offset + rng.randrange(-2, len(config.center) + 2)
-    hood = [engine.cell_at(config, x + d) for d in rule.neighborhood]
-    key = (hood[0] % two_r, hood[1], hood[2], hood[3] // two_r)
-    s = rule.state_count
-    return mutated(rule, key, (rule.local(*hood) + rng.randrange(1, s)) % s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,6 +295,119 @@ def test_padding_keeps_a_block_beyond_cone_and_source(k):
                     last = k * (length + right) - 1 - hi * T
                     assert first + k - 1 < min(-wl * T, 0)
                     assert last - k + 1 > max(k * length - 1 + wr * T, k * (length + steps) - 1)
+
+
+@st.composite
+def gap_bounds(draw, p, max_exhaustive_starts):
+    """A gap list for 1-5 blocks and ``tauprime --gaps`` keyword bounds:
+    exhaustive when it has at most the given number of starts, or
+    sampled."""
+    gaps = draw(st.lists(st.integers(1, 4), max_size=4))
+    steps = draw(st.integers(1, 12))
+    if (p.c_size * p.r_size) ** (len(gaps) + 1) <= max_exhaustive_starts and draw(st.booleans()):
+        return gaps, dict(mode="exhaustive", steps=steps)
+    return gaps, dict(mode="sampled", steps=steps, count=draw(st.integers(1, 20)), seed=draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tauprime_gaps_matches_reference(data):
+    p = data.draw(reversible_tables())
+    gaps, kwargs = data.draw(gap_bounds(p, 30))
+    report = verify.check_tau_prime_correspondence(p, gaps=gaps, **kwargs)
+    assert fields(report) == reference_tauprime_gaps(p, convert(p), gaps, **kwargs)
+
+
+@pytest.mark.parametrize("name, sizes", [("identity", (1, 1)), ("xor", (2, 2)), ("random", (1, 3))])
+@pytest.mark.parametrize("gaps", [[], [1], [2], [1, 4], [3, 2], [2, 1, 3]])
+def test_gaps_sweep_verdict_per_start_matches_reference(name, sizes, gaps):
+    # Every start, not only the first failing one: all-(0,0) words and
+    # words ending in (0,0), whose canonical center is trimmed, or empty
+    # when every block lands on a background block (gaps of 1 and 4);
+    # under the derived rule and under mutated ones.
+    p = example_rpca(name, *sizes, seed=3)
+    rule = convert(p)
+    rng = random.Random(len(gaps) + sum(sizes))
+    words = list(reference_pair_words(p, "exhaustive", len(gaps) + 1, None, None))
+    codes = next(verify._start_rows(p, "exhaustive", len(gaps) + 1, None, None, len(words)))
+    assert words[0] == ((0, 0),) * (len(gaps) + 1)
+    verdicts = set()
+    for trial in range(6):
+        test_rule = rule if trial == 0 else reached_mutation(p, rule, rng, len(gaps) + 1, 6, gaps=gaps)
+        steps = 6 if trial % 2 else 3
+        expected = []
+        for word in words:
+            cfg = encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
+            trajectory = [cfg]
+            for _ in range(steps):
+                trajectory.append(reference_step(test_rule, trajectory[-1]))
+            expected.append(not reference_ledger_is_constant(rule.code, trajectory)[0])
+        bad = verify._ledger_failures(p, test_rule, gaps, codes, steps)
+        assert bad.tolist() == expected
+        verdicts.update(expected)
+    if name != "identity":
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, sizes", [("xor", (2, 2)), ("random", (2, 3))])
+def test_mutated_table_gaps_reports_match(monkeypatch, name, sizes):
+    p = example_rpca(name, *sizes, seed=5)
+    rng = random.Random(13)
+    failures = []
+    for trial in range(20):
+        gaps = [1 + trial % 3, 1 + trial % 4]
+        rule = reached_mutation(p, convert(p), rng, 3, 5, gaps=gaps)
+        monkeypatch.setattr(verify, "convert", lambda p, rule=rule: rule)
+        for kwargs in (dict(mode="exhaustive", steps=5), dict(mode="sampled", steps=5, count=15, seed=trial)):
+            report = verify.check_tau_prime_correspondence(p, gaps=gaps, **kwargs)
+            assert fields(report) == reference_tauprime_gaps(p, rule, gaps, **kwargs)
+            if not report.passed:
+                failures.append(report.counterexample)
+    # Failures at many different starts, not only at the first.
+    assert len({c.input for c in failures}) >= 10
+
+
+@pytest.mark.parametrize("row_cells", [1, 40, 300])
+def test_chunked_gaps_sweep_matches_reference(monkeypatch, row_cells):
+    # Down to one start per chunk: the first failure and the confirmed
+    # last start cross chunk boundaries.
+    monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)
+    p = example_rpca("random", 2, 3, seed=2)
+    for gaps, kwargs in (
+        ([1, 3], dict(mode="exhaustive", steps=4)),
+        ([2], dict(mode="sampled", steps=6, count=12, seed=9)),
+    ):
+        report = verify.check_tau_prime_correspondence(p, gaps=gaps, **kwargs)
+        assert report.passed
+        assert fields(report) == reference_tauprime_gaps(p, convert(p), gaps, **kwargs)
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(6):
+        rule = reached_mutation(p, convert(p), rng, 3, 4, gaps=[1, 3])
+        monkeypatch.setattr(verify, "convert", lambda p, rule=rule: rule)
+        kwargs = dict(mode="exhaustive", steps=4)
+        report = verify.check_tau_prime_correspondence(p, gaps=[1, 3], **kwargs)
+        assert fields(report) == reference_tauprime_gaps(p, rule, [1, 3], **kwargs)
+        verdicts.add(report.passed)
+    assert False in verdicts
+
+
+def test_gaps_sweep_fault_raises_confirmation_error(monkeypatch):
+    # A batch evaluator that is right on the single rows ``engine.run``
+    # steps but wrong on the sweep's row matrices: the confirmed start
+    # gets another verdict from the public functions, and the oracle
+    # refuses to report.
+    rule = convert(XOR)
+    s = rule.state_count
+
+    def local_batch(cols):
+        out = rule.local_batch(cols)
+        return out if out.ndim == 1 else (out + 1) % s
+
+    faulty = dataclasses.replace(rule, local_batch=local_batch)
+    monkeypatch.setattr(verify, "convert", lambda p: faulty)
+    with pytest.raises(RuntimeError, match="batched sweep found a constant ledger False"):
+        verify.check_tau_prime_correspondence(XOR, gaps=[1, 3], mode="exhaustive", steps=3)
 
 
 @st.composite

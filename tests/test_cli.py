@@ -231,6 +231,7 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-simulate.txt", ["simulate", "--support", "3", "--steps", "4"]),
         ("verify-tauprime.txt", ["tauprime", "--spacing", "3", "--support", "2", "--steps", "2"]),
         ("verify-tauprime-gaps.txt", ["tauprime", "--gaps", "1,2", "--sampled", "20", "--seed", "1"]),
+        ("verify-tauprime-gaps-exhaustive.txt", ["tauprime", "--gaps", "1,3", "--steps", "6"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):

@@ -26,12 +26,9 @@ from rncca.engine import Cyclic, Finite, make_rule, window_growth
 from rncca.formats import format_configuration
 from rncca.rpca import example_rpca, format_rpca
 from rncca.verify import Counterexample
+from reference_oracles import fields, mutated
 
 REFERENCE_CHUNK = 1 << 18
-
-
-def fields(report):
-    return (report.property, report.domain, report.passed, report.counterexample)
 
 
 def reference_word_chunks(s, length, chunk=REFERENCE_CHUNK):
@@ -249,25 +246,6 @@ def test_random_rules_cover_passes_and_failures():
             assert fields(report) == reference_inject(rule, length)
             verdicts.add(("inject", report.passed))
     assert verdicts == {(name, passed) for name in ("conserve", "inject") for passed in (True, False)}
-
-
-def mutated(rule, key, value):
-    """``rule`` with one entry of its reduced table, indexed by
-    (light(q-2), q-1, q0, heavy(q1) // 2|R|), replaced by ``value``."""
-    two_r = rule.code.light_modulus
-
-    def local(a, b, c, d):
-        if (a % two_r, b, c, d // two_r) == key:
-            return value
-        return rule.local(a, b, c, d)
-
-    def local_batch(cols):
-        a, b, c, d = (np.asarray(col) for col in cols)
-        out = np.array(rule.local_batch(cols))
-        out[(a % two_r == key[0]) & (b == key[1]) & (c == key[2]) & (d // two_r == key[3])] = value
-        return out
-
-    return dataclasses.replace(rule, local=local, local_batch=local_batch)
 
 
 @pytest.mark.parametrize("seed", range(12))
