@@ -317,12 +317,10 @@ def cmd_convert(args):
                 file=sys.stderr,
             )
             return 2
-        rule = convert(p)
-        for a in range(s):
-            for b in range(s):
-                for c in range(s):
-                    for d in range(s):
-                        lines.append(f"t {a} {b} {c} {d} -> {rule.local(a, b, c, d)}")
+        # Every neighborhood (a, b, c, d) in order, d fastest.
+        cols = np.indices((s,) * 4).reshape(4, -1)
+        images = convert(p).local_batch(list(cols))
+        lines += [f"t {a} {b} {c} {d} -> {q}" for a, b, c, d, q in zip(*cols.tolist(), images.tolist())]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,20 +1,20 @@
 """Particle encoding of a reversible 2-part PCA as a number-conserving CA.
 
-Every state of the derived 4-neighbor CA is an integer that splits
-uniquely into a stationary *heavy* mass (a multiple of 2|R|) and a
-right-moving *light* mass (below 2|R|).  Heavy masses below 2|C||R|
-and light masses below |R| are the "hat" halves; the remaining masses
-are the "check" halves.  A hat/check pair whose masses add to a fixed
-pair sum jointly encodes one part state of the source PCA; adjacent
-cells whose halves form such a pair are *balanced*.
+Every state q of the derived 4-neighbor CA, 0 <= q < s = 4|C||R|, is a
+stationary *heavy* mass (a multiple of 2|R|) plus a right-moving
+*light* mass (below 2|R|).  Source pair (c, r) has the *hat* value
+2c|R| + r (heavy below 2|C||R|, light below |R|) and the *check* value
+s - 1 - hat, its complement.
 
-The derived local rule moves every light mass one cell rightward and
-keeps heavy masses in place, except where a balanced light pair sits
-immediately left of a balanced heavy pair: there the four masses are
-rewritten through the source table, which performs one source-CA
-transition in place.  Mass is only ever transferred inside a balanced
-pair or shifted, so cell sums are conserved, and the rewrite is
-invertible because the source table is.
+The derived rule is f = T∘S.  S shifts the light layer one cell right:
+cell x takes heavy(q_x) + light(q_{x-1}).  A *site* is a pair of cells
+(x, x+1) that holds, after S, a hat value followed by its complement.
+T rewrites every site through the source table, hat image to x and
+check image to x+1, and leaves every other cell as S left it.  S moves
+masses and T only trades mass inside a site, so cell sums are
+conserved.  No cell of a site can be in another site, before or after
+T, so T is a bijection because the source table is, and f is
+reversible.
 
 ``encode_tau`` interleaves the hat and check images of each source
 cell into a two-cell block; the derived CA then tracks the source CA
@@ -117,7 +117,7 @@ class ParticleCode:
     @property
     def quiescent_block(self):
         """Hat and check images of the quiescent pair (0, 0)."""
-        return (0, self.heavy_pair_sum + self.light_pair_sum)
+        return (0, self.state_count - 1)
 
 
 @dataclass(frozen=True)
@@ -176,57 +176,50 @@ def is_balanced_light(code, q1, q2):
 def phi(code, variant, c, r):
     """Map a source pair to its hat or check block value.
 
-    The canonical choice, fixed once and for all: the hat heavy image
-    of c is 2c|R| and the hat light image of r is r; check images are
-    the complements to the pair sums.
+    The canonical choice, fixed once and for all: the hat value is
+    2c|R| + r and the check value its complement s - 1 - hat, which
+    complements both masses to their pair sums.
     """
     if not 0 <= c < code.c_size:
         raise ValueError(f"center part {c} out of range")
     if not 0 <= r < code.r_size:
         raise ValueError(f"right part {r} out of range")
+    hat = 2 * c * code.r_size + r
     if variant == "hat":
-        return 2 * c * code.r_size + r
+        return hat
     if variant == "check":
-        return (code.heavy_pair_sum - 2 * c * code.r_size) + (code.light_pair_sum - r)
+        return code.state_count - 1 - hat
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def phi_inverse(code, variant, q):
     """Invert phi; rejects states outside the variant's codomain."""
     heavy, light = decompose(code, q)
-    if variant == "hat":
-        if heavy >= code.hat_heavy_limit or light >= code.hat_light_limit:
-            raise ValueError(f"state {q} is not a hat block value")
-        return heavy // code.light_modulus, light
+    if variant not in ("hat", "check"):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == "check":
-        if heavy < code.hat_heavy_limit or light < code.hat_light_limit:
-            raise ValueError(f"state {q} is not a check block value")
-        return (
-            (code.heavy_pair_sum - heavy) // code.light_modulus,
-            code.light_pair_sum - light,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+        heavy, light = decompose(code, code.state_count - 1 - q)
+    if heavy >= code.hat_heavy_limit or light >= code.hat_light_limit:
+        raise ValueError(f"state {q} is not a {variant} block value")
+    return heavy // code.light_modulus, light
 
 
 def convert(p):
     """Derive the 4-neighbor number-conserving rule from a reversible table.
 
-    The local rule for cells (q-2, q-1, q0, q1) updating position 0:
+    The local rule is f = T∘S read at position 0 of cells (q-2, q-1,
+    q0, q1).  After S, position 0 holds u = heavy(q0) + light(q-1), its
+    left neighbor heavy(q-1) + light(q-2) and its right neighbor
+    heavy(q1) + light(q0):
 
-    * if (q-1, q0) is light-balanced and (q0, q1) is heavy-balanced,
-      position 0 starts a transition site: decode the hat halves, apply
-      the source table, return the hat image of the result;
-    * if (q-2, q-1) is light-balanced and (q-1, q0) is heavy-balanced,
-      position 0 is the trailing cell of a transition site: return the
-      check image of the same table application;
-    * elsewhere the heavy mass stays and the left neighbor's light
-      mass arrives: return heavy(q0) + light(q-1).
+    * if (u, right neighbor) is a site, T returns the hat image of the
+      source table applied to u's pair;
+    * if (left neighbor, u) is a site, T returns the check image of the
+      same table application to the left neighbor's pair;
+    * elsewhere f returns u.
 
     Only light(q-2) and heavy(q1) matter, so the rule is compiled into
-    one table indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|).  The
-    two trigger guards are mutually exclusive (they need the heavy half
-    of q0 in disjoint ranges); the build checks this over the whole
-    table.
+    one table indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|).
     """
     if not check_local_injective(p):
         raise ValueError("table is not injective; the derived rule would not be reversible")
@@ -262,53 +255,41 @@ def convert(p):
 
 
 def _reduced_table(code, p):
-    """The derived rule as a (2|R|, s, s, 2|C|) array over (light(q-2),
-    q-1, q0, heavy(q1) // 2|R|), in the smallest unsigned dtype that
-    holds every state.
+    """The derived rule f = T∘S as a (2|R|, s, s, 2|C|) array over
+    (light(q-2), q-1, q0, heavy(q1) // 2|R|), in the smallest unsigned
+    dtype that holds every state.
 
-    Every entry starts as the shift move heavy(q0) + light(q-1); the
-    transition-site entries are then overwritten from the source table.
-    A site is fixed by its (q-1, q0) pair: the guard names the partner
-    of the other end, light(q-2) or heavy(q1), so the entries to write
-    are read off two s x s masks.
+    Every entry starts as S's value u at position 0, and T overwrites
+    the entries where position 0 is in a site, read off the (q-1, q0)
+    plane: it starts one where u is a hat value and q0 brings the light
+    mass of s - 1 - u (q1 then brings its heavy mass), and ends one
+    where s - 1 - u is a hat value whose heavy mass q-1 holds (q-2 then
+    brings its light mass).
     """
     s = code.state_count
     two_r = code.light_modulus
-    dtype = np.min_scalar_type(s - 1)
     q = np.arange(s)
     light = q % two_r
     heavy = q - light
-
-    def balanced(part, hat_limit, pair_sum):
-        # balanced[x, y]: part(x) is a hat half and part(y) its complement.
-        return (part[:, None] < hat_limit) & (part[:, None] + part[None, :] == pair_sum) & (
-            part[None, :] >= hat_limit
-        )
-
-    light_pair = balanced(light, code.hat_light_limit, code.light_pair_sum)
-    heavy_pair = balanced(heavy, code.hat_heavy_limit, code.heavy_pair_sum)
-    # starts[x, y]: (q-1, q0) = (x, y) starts a site for some q1; ends[x, y]:
-    # it ends one for some q-2.  Both guards fire at (q-2, q-1, q0, q1)
-    # only if both masks hold at (q-1, q0), so this covers the whole table.
-    starts = light_pair & heavy_pair.any(axis=1)[None, :]
-    ends = light_pair.any(axis=0)[:, None] & heavy_pair
-    if (starts & ends).any():
-        raise AssertionError("transition guards fired together")
-    hat, check = (
-        np.array(
-            [[phi(code, variant, *p.table[c][r]) for r in range(p.r_size)] for c in range(p.c_size)],
-            dtype=dtype,
-        )
-        for variant in ("hat", "check")
+    u = heavy[None, :] + light[:, None]  # position 0 after S, over (q-1, q0)
+    v = s - 1 - u
+    is_hat = (heavy < code.hat_heavy_limit) & (light < code.hat_light_limit)
+    # T on the first cell of a site: the hat value of the source image.
+    hats = (two_r * np.arange(code.c_size)[:, None] + np.arange(code.r_size)).ravel()  # by pair code
+    image = np.zeros(s, dtype=np.intp)
+    image[hats] = hats[p._images]
+    table = np.tile(
+        np.repeat(u.astype(np.min_scalar_type(s - 1))[:, :, None], 2 * code.c_size, axis=2),
+        (two_r, 1, 1, 1),
     )
-    shift = (heavy[None, :] + light[:, None]).astype(dtype)  # over (q-1, q0)
-    table = np.tile(np.repeat(shift[:, :, None], 2 * code.c_size, axis=2), (two_r, 1, 1, 1))
-    # q-2 is indexed by its light mass, q1 by its heavy mass // 2|R|.
-    b, c = np.nonzero(starts)
-    table[:, b, c, (code.heavy_pair_sum - heavy[c]) // two_r] = hat[heavy[c] // two_r, light[b]]
-    b, c = np.nonzero(ends)
-    a = code.light_pair_sum - light[b]
-    table[a, b, c] = check[heavy[b] // two_r, a][:, None]
+    first = is_hat[u] & (light[None, :] == light[v])
+    second = is_hat[v] & (heavy[:, None] == heavy[v])
+    if (first & second).any():
+        raise AssertionError("transition sites overlap")
+    b, c = np.nonzero(first)
+    table[:, b, c, heavy[v[b, c]] // two_r] = image[u[b, c]]
+    b, c = np.nonzero(second)
+    table[light[v[b, c]], b, c] = s - 1 - image[v[b, c], None]
     return table
 
 
@@ -360,23 +341,19 @@ def _layout(n, gaps, k, cyclic):
 
 
 def _block_values(code, word):
-    """The (hat, check) block of every pair in ``word``, read from one
-    (|C|, |R|) block table.  A cell outside the table raises the error
-    ``phi`` gives it."""
-    blocks = {
-        (c, r): (phi(code, "hat", c, r), phi(code, "check", c, r))
-        for c in range(code.c_size)
-        for r in range(code.r_size)
-    }
+    """The (hat, check) block of every pair in ``word``: its hat value,
+    read from one (|C|, |R|) table, and the complement s - 1 - hat.  A
+    cell outside the table raises the error ``phi`` gives it."""
+    hats = {(c, r): phi(code, "hat", c, r) for c in range(code.c_size) for r in range(code.r_size)}
     values = []
     for pair in word:
-        block = blocks.get(pair) if isinstance(pair, tuple) else None
-        if block is None:
+        hat = hats.get(pair) if isinstance(pair, tuple) else None
+        if hat is None:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError(f"cell {pair!r} is not a (c, r) pair")
             phi(code, "hat", *pair)
             raise ValueError(f"cell {pair!r} is not a (c, r) pair of integers")
-        values.append(block)
+        values.append((hat, code.state_count - 1 - hat))
     return values
 
 

@@ -493,36 +493,28 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _pair_words(p, mode, max_support, count, seed, exact=False):
-    if mode == "exhaustive":
-        yield from itertools.product(p._pairs, repeat=max_support)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        for _ in range(count):
-            length = max_support if exact else rng.randint(1, max_support)
-            yield tuple(
-                (rng.randrange(p.c_size), rng.randrange(p.r_size)) for _ in range(length)
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 def _start_rows(p, mode, max_support, count, seed, rows, exact=False):
-    """The starts of ``_pair_words``, at most ``rows`` at a time, as
+    """The simulation oracles' starts, at most ``rows`` at a time, as
     matrices of pair codes c*|R| + r on source cells 0..max_support-1.
-    Shorter sampled words (none when ``exact``) are padded with the
-    quiescent code 0."""
+    Sampled words draw a length ``randint(1, max_support)`` (none when
+    ``exact``), then ``randrange(|C|)`` and ``randrange(|R|)`` per pair;
+    shorter ones are padded with the quiescent code 0."""
     if mode == "exhaustive":
         # Lexicographic codes are itertools.product order over the pairs.
         for _, cols in _grids(p.c_size * p.r_size, max_support, rows):
             yield np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, max_support)
-        return
-    words = _pair_words(p, mode, max_support, count, seed, exact)
-    while chunk := list(itertools.islice(words, rows)):
-        codes = np.zeros((len(chunk), max_support), dtype=np.int64)
-        for i, word in enumerate(chunk):
-            codes[i, : len(word)] = [p._codes[pair] for pair in word]
-        yield codes
+    elif mode == "sampled":
+        rng = random.Random(seed)
+        for first in range(0, count, rows):
+            codes = np.zeros((min(rows, count - first), max_support), dtype=np.int64)
+            for word in codes:
+                length = max_support if exact else rng.randint(1, max_support)
+                word[:length] = [
+                    rng.randrange(p.c_size) * p.r_size + rng.randrange(p.r_size) for _ in range(length)
+                ]
+            yield codes
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _padding(rule, k, horizon, steps):
@@ -561,9 +553,8 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     # Source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
     forward = p._forward.local_batch
     # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
-    blocks = np.array(
-        _encode(code, Cyclic(p._pairs), k).word, dtype=np.min_scalar_type(code.state_count - 1)
-    ).reshape(-1, k)
+    blocks = np.zeros((len(p._pairs), k), dtype=np.min_scalar_type(code.state_count - 1))
+    blocks[:, :2] = _block_values(code, p._pairs)
     horizon = max(periods) * steps
     left, right = _padding(rule, k, horizon, steps)
     n, length = words.shape

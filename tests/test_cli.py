@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -97,6 +98,15 @@ def test_convert_dump_table_round_trips(xor_rule, tmp_path, capsys):
     assert main(["verify", str(out), "inject", "--cycle", "3"]) == 0
     line = capsys.readouterr().out
     assert "passed=true" in line
+
+
+def test_convert_dump_table_bytes_are_pinned(xor_rule, tmp_path):
+    # Every neighborhood in order, d fastest: a reordered dump would still
+    # round-trip through verify, so the bytes are pinned.
+    out = tmp_path / "xor.ncca"
+    assert main(["convert", xor_rule, "--dump-table", "-o", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "b83b500acc1b115dc5c57a6ea8122d5979bdc2148a7d15de80dddf2226a6da7a"
 
 
 def test_run_golden_window_rows(xor_rule, tau_config, capsys):
@@ -239,6 +249,12 @@ def test_verify_passing_reports_match_golden_reports(capsys, golden, args):
     assert main(["verify", str(GOLDEN / "rule.rpca"), *args]) == 0
     out = re.sub(r"elapsed_ms=\d+", "elapsed_ms=MASKED", capsys.readouterr().out)
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_convert_balanced_pairs_match_golden(capsys):
+    # The same listing as the CI step that runs the installed script.
+    assert main(["convert", str(GOLDEN / "rule.rpca"), "--dump-balanced-pairs"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "convert-pairs.txt").read_text()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,11 @@ SOURCES = {
     "xor": example_rpca("xor"),
     "random-3x4": example_rpca("random", 3, 4, seed=2),
     "random-4x6": example_rpca("random", 4, 6, seed=1),
+    # Shapes with |C| or |R| equal to 1, and the part swap.
+    "identity-1x1": example_rpca("identity", 1, 1),
+    "random-1x7": example_rpca("random", 1, 7, seed=3),
+    "random-7x1": example_rpca("random", 7, 1, seed=3),
+    "swap-3x3": example_rpca("swap", 3, 3),
 }
 
 

@@ -134,6 +134,22 @@ def test_inject_sampled_mode_runs():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda mode: check_number_conserving(XOR_RULE, mode=mode, max_support=2),
+        lambda mode: check_injective_cyclic(XOR_RULE, 3, mode=mode),
+        lambda mode: check_simulation_correspondence(XOR, mode=mode, max_support=2, steps=1),
+        lambda mode: check_tau_prime_correspondence(XOR, k=3, mode=mode, max_support=2, steps=1),
+        lambda mode: check_tau_prime_correspondence(XOR, gaps=[1, 2], mode=mode, steps=1),
+    ],
+    ids=["conserve", "inject", "simulate", "tauprime-k", "tauprime-gaps"],
+)
+def test_unknown_mode_is_refused(check):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        check("bogus")
+
+
 def test_any_reversible_table_converts_to_passing_rule():
     # both halves of the construction, spot-checked on a third table
     p = example_rpca("random", c_size=3, r_size=2, seed=11)
