@@ -449,8 +449,9 @@ def _parser():
     p_verify = sub.add_parser("verify", help="run a property oracle")
     p_verify.add_argument("rule")
     p_verify.add_argument("property", choices=("conserve", "inject", "simulate", "tauprime"))
-    p_verify.add_argument("--exhaustive", action="store_true", help="exhaustive mode (default)")
-    p_verify.add_argument("--sampled", type=int, default=None, metavar="COUNT")
+    modes = p_verify.add_mutually_exclusive_group()
+    modes.add_argument("--exhaustive", action="store_true", help="exhaustive mode (default)")
+    modes.add_argument("--sampled", type=int, default=None, metavar="COUNT")
     p_verify.add_argument("--support", type=int, default=4)
     p_verify.add_argument("--cycle", type=int, default=3)
     p_verify.add_argument("--steps", type=int, default=4)

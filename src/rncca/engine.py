@@ -256,21 +256,7 @@ def window_growth(neighborhood):
 
 def cell_at(config, x):
     """Total cell lookup: every integer position yields a state."""
-    if isinstance(config, Finite):
-        i = x - config.offset
-        if 0 <= i < len(config.word):
-            return config.word[i]
-        return config.quiescent
-    if isinstance(config, Cyclic):
-        return config.word[x % len(config.word)]
-    if isinstance(config, BiPeriodic):
-        i = x - config.center_offset
-        if i < 0:
-            return config.left[x % len(config.left)]
-        if i < len(config.center):
-            return config.center[i]
-        return config.right[x % len(config.right)]
-    raise TypeError(f"not a configuration: {config!r}")
+    return window_cells(config, x, x)[0]
 
 
 def _primitive_pinned(word):
@@ -415,7 +401,9 @@ def run(rule, config, steps):
 
 
 def window_cells(config, x_min, x_max):
-    """``cell_at(config, x)`` for every x in x_min..x_max, as one tuple."""
+    """The cells of ``config`` at x_min..x_max, as one tuple: a finite
+    configuration is quiescent beyond its word, and periodic words are
+    pinned to absolute positions."""
     if isinstance(config, Cyclic):
         return _pinned_cells(config.word, x_min, x_max + 1)
     if isinstance(config, Finite):
@@ -467,6 +455,16 @@ def _pinned_cells(word, start, stop):
     return (word * ((k + stop - start - 1) // n + 1))[k : k + stop - start]
 
 
+def _shrink_step(batch, nb, rows):
+    """One step of the rows along the last axis of ``rows``, kept to the
+    cells whose whole neighborhood they hold: each neighborhood offset
+    is a shifted slice, and the image is ``max(nb) - min(nb)`` cells
+    shorter, its cell i being the row's cell ``i - min(nb)``."""
+    lo = min(nb)
+    width = rows.shape[-1] - (max(nb) - lo)
+    return batch([rows[..., d - lo : d - lo + width] for d in nb])
+
+
 def _run_rows(rule, cfg, steps):
     """The canonical configurations at t = 1..steps, stepped as numpy
     rows, and the ``Trajectory.rows`` of t = 0..steps.
@@ -487,8 +485,7 @@ def _run_rows(rule, cfg, steps):
         ring = np.arange(lo, n + hi) % n
         out, rows = [], [(0, row)]
         for _ in range(steps):
-            padded = row[ring]
-            row = batch([padded[d - lo : d - lo + n] for d in nb])
+            row = _shrink_step(batch, nb, row[ring])
             out.append(Cyclic(tuple(row.tolist())))
             rows.append((0, row))
         return out, rows
@@ -504,15 +501,14 @@ def _run_rows(rule, cfg, steps):
     primitive, tiles = {}, {}
     out, rows = [], [(start, row)]
     for _ in range(steps):
-        width = len(row) - (hi - lo)
-        row = batch([row[d - lo : d - lo + width] for d in nb])
+        row = _shrink_step(batch, nb, row)
         start -= lo
         rows.append((start, row))
         if isinstance(cfg, Finite):
             out.append(_finite_from_row(row, start, cfg.quiescent))
             continue
         left = _background(row[:nl], start, primitive)
-        right = _background(row[-nr:], start + width - nr, primitive)
+        right = _background(row[-nr:], start + len(row) - nr, primitive)
         out.append(_biperiodic_from_row(row, start, left, right, tiles))
     return out, rows
 

@@ -74,7 +74,8 @@ class VerificationReport:
 
 
 def _check_bounds(mode, count, **bounds):
-    """Reject bounds that would leave the domain empty (a vacuous pass)."""
+    """Reject bounds that would leave the domain empty (a vacuous pass),
+    then a mode other than exhaustive and sampled."""
     if mode == "sampled":
         if count is None:
             raise ValueError("sampled mode needs a count")
@@ -82,6 +83,8 @@ def _check_bounds(mode, count, **bounds):
     for name, value in bounds.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _report(name, domain, counterexample, started):
@@ -340,18 +343,16 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
             if (found := _first_unconserved(rule, cols, cyclic))
         )
         return _report(name, domain, next(failures, None), started)
-    if mode == "sampled":
-        draws = _Draws(seed)
-        domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
-        rows = max(1, _ROW_CELLS // max_support)
-        counterexample = None
-        for first in range(0, count, rows):
-            lengths, cells = draws.words(min(rows, count - first), max_support, s)
-            counterexample = _first_sampled_unconserved(rule, lengths, cells, first)
-            if counterexample:
-                break
-        return _report(name, domain, counterexample, started)
-    raise ValueError(f"unknown mode {mode!r}")
+    draws = _Draws(seed)
+    domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
+    rows = max(1, _ROW_CELLS // max_support)
+    counterexample = None
+    for first in range(0, count, rows):
+        lengths, cells = draws.words(min(rows, count - first), max_support, s)
+        counterexample = _first_sampled_unconserved(rule, lengths, cells, first)
+        if counterexample:
+            break
+    return _report(name, domain, counterexample, started)
 
 
 def _image_keys(rule, cols):
@@ -454,43 +455,41 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
                 counterexample = _injectivity_counterexample(rule, n, _least_collision(rule, n, seen))
                 return _report(name, domain, counterexample, started)
         return _report(name, domain, None, started)
-    if mode == "sampled":
-        draws = _Draws(seed)
-        domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
-        rows = max(1, _ROW_CELLS // n)
-        # Every distinct image drawn so far, sorted, with the word that
-        # first had it; each row is one byte string, so rows sort, compare
-        # and merge as single values.
-        seen_images = seen_words = None
-        counterexample = None
-        for first in range(0, count, rows):
-            words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
-            images = np.ascontiguousarray(_cyclic_images(rule, words))
-            word_rows, image_rows = _byte_rows(words), _byte_rows(images)
-            if seen_images is None:
-                seen_images, seen_words = image_rows[:0], word_rows[:0]
-            # The chunk's distinct images, the earliest row with each, and
-            # where each sits among those seen before.
-            distinct, earliest, image_of = np.unique(image_rows, return_index=True, return_inverse=True)
-            at = np.searchsorted(seen_images, distinct)
-            known = at < len(seen_images)
-            known[known] = seen_images[at[known]] == distinct[known]
-            # owners[j]: the word that first had distinct image j.
-            owners = word_rows[earliest]
-            owners[known] = seen_words[at[known]]
-            clashes = np.flatnonzero(word_rows != owners[image_of])
-            if clashes.size:
-                i = clashes[0]
-                owner = np.frombuffer(owners[image_of[i]].tobytes(), words.dtype)
-                counterexample = _collision(
-                    owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
-                )
-                break
-            fresh = ~known
-            seen_images = np.insert(seen_images, at[fresh], distinct[fresh])
-            seen_words = np.insert(seen_words, at[fresh], owners[fresh])
-        return _report(name, domain, counterexample, started)
-    raise ValueError(f"unknown mode {mode!r}")
+    draws = _Draws(seed)
+    domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
+    rows = max(1, _ROW_CELLS // n)
+    # Every distinct image drawn so far, sorted, with the word that
+    # first had it; each row is one byte string, so rows sort, compare
+    # and merge as single values.
+    seen_images = seen_words = None
+    counterexample = None
+    for first in range(0, count, rows):
+        words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
+        images = np.ascontiguousarray(_cyclic_images(rule, words))
+        word_rows, image_rows = _byte_rows(words), _byte_rows(images)
+        if seen_images is None:
+            seen_images, seen_words = image_rows[:0], word_rows[:0]
+        # The chunk's distinct images, the earliest row with each, and
+        # where each sits among those seen before.
+        distinct, earliest, image_of = np.unique(image_rows, return_index=True, return_inverse=True)
+        at = np.searchsorted(seen_images, distinct)
+        known = at < len(seen_images)
+        known[known] = seen_images[at[known]] == distinct[known]
+        # owners[j]: the word that first had distinct image j.
+        owners = word_rows[earliest]
+        owners[known] = seen_words[at[known]]
+        clashes = np.flatnonzero(word_rows != owners[image_of])
+        if clashes.size:
+            i = clashes[0]
+            owner = np.frombuffer(owners[image_of[i]].tobytes(), words.dtype)
+            counterexample = _collision(
+                owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
+            )
+            break
+        fresh = ~known
+        seen_images = np.insert(seen_images, at[fresh], distinct[fresh])
+        seen_words = np.insert(seen_words, at[fresh], owners[fresh])
+    return _report(name, domain, counterexample, started)
 
 
 def _start_rows(p, mode, max_support, count, seed, rows, exact=False):
@@ -503,18 +502,16 @@ def _start_rows(p, mode, max_support, count, seed, rows, exact=False):
         # Lexicographic codes are itertools.product order over the pairs.
         for _, cols in _grids(p.c_size * p.r_size, max_support, rows):
             yield np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, max_support)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        for first in range(0, count, rows):
-            codes = np.zeros((min(rows, count - first), max_support), dtype=np.int64)
-            for word in codes:
-                length = max_support if exact else rng.randint(1, max_support)
-                word[:length] = [
-                    rng.randrange(p.c_size) * p.r_size + rng.randrange(p.r_size) for _ in range(length)
-                ]
-            yield codes
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return
+    rng = random.Random(seed)
+    for first in range(0, count, rows):
+        codes = np.zeros((min(rows, count - first), max_support), dtype=np.int64)
+        for word in codes:
+            length = max_support if exact else rng.randint(1, max_support)
+            word[:length] = [
+                rng.randrange(p.c_size) * p.r_size + rng.randrange(p.r_size) for _ in range(length)
+            ]
+        yield codes
 
 
 def _padding(rule, k, horizon, steps):
@@ -576,11 +573,10 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     width = encoded[0].shape[1]
     row = encoded[0].astype(np.intp)
     bad = np.zeros((len(periods), steps, n), dtype=bool)
-    # As in engine._run_rows, each step drops hi - lo cells: the row after
-    # T steps covers cells -lo*T .. width-1-hi*T of the encoded rows.
+    # Each step drops hi - lo cells: the row after T steps covers cells
+    # -lo*T .. width-1-hi*T of the encoded rows.
     for T in range(1, horizon + 1):
-        cells = row.shape[1] - (hi - lo)
-        image = batch([row[:, d - lo : d - lo + cells] for d in nb])
+        image = engine._shrink_step(batch, nb, row)
         for i, t in compared.get(T, ()):
             bad[i, t - 1] = (image != encoded[t][:, -lo * T : width - hi * T]).any(axis=1)
         # One conversion here spares one per shifted slice in ``batch``.
@@ -667,7 +663,7 @@ def _ledger_failures(p, rule, gaps, words, steps):
     code = rule.code
     nb = rule.neighborhood
     batch = engine._batch_of(rule)
-    lo, hi = min(nb), max(nb)
+    lo = min(nb)
     n = len(words)
     starts, cells, x0, width = _ledger_row(rule, gaps, steps)
     background = np.array(code.quiescent_block + (0,), dtype=np.intp)[np.arange(x0, x0 + width) % 3]
@@ -706,10 +702,53 @@ def _ledger_failures(p, rule, gaps, words, steps):
     initial = ledger(row, 0)
     steady = np.ones(initial.shape, dtype=bool)
     for t in range(1, steps + 1):
-        # As in engine._run_rows, each step drops hi - lo cells.
-        row = batch([row[:, d - lo : d - lo + row.shape[1] - (hi - lo)] for d in nb]).astype(np.intp)
+        row = engine._shrink_step(batch, nb, row).astype(np.intp)
         steady &= ledger(row, t) == initial
     return ~(steady[:, :4] & steady[:, 4:]).any(axis=1)
+
+
+def _sweep(starts, candidates, tracks):
+    """Narrow ``candidates`` start by start over the row matrices
+    ``starts``; ``tracks(words, candidates)`` says which candidates hold
+    for each start of ``words``, as a (candidate, start) matrix.
+
+    Returns the candidates that hold for every start before the one the
+    sweep ends on, that start (the first one no candidate holds for,
+    else the last one), and whether no candidate holds for it."""
+    for words in starts:
+        # held[i, j]: candidates[i] holds for starts 0..j of this chunk.
+        held = np.logical_and.accumulate(tracks(words, candidates), axis=1)
+        dead = np.flatnonzero(~held.any(axis=0))
+        j = dead[0] if dead.size else len(words)
+        if j:
+            candidates = [q for q, ok in zip(candidates, held[:, j - 1]) if ok]
+        if dead.size:
+            return candidates, words[j], True
+    return candidates, words[-1], False
+
+
+def _spacing_sweep(p, rule, k, candidates, mode, max_support, steps, count, seed):
+    """The periods among ``candidates`` whose q derived steps track every
+    source step of every start under the spacing-k block encoding, and
+    the counterexample when none does.  The first start no candidate
+    survives, else the last one, goes through the public functions once
+    more: they confirm the sweep and word the report."""
+    rows = _chunk_rows(rule, k, max(candidates) * steps, steps, max_support)
+    candidates, start, failed = _sweep(
+        _start_rows(p, mode, max_support, count, seed, rows),
+        candidates,
+        lambda words, periods: ~_tracking_failures(p, rule, k, words, periods, steps).any(axis=1),
+    )
+    found, counterexample = _track_start(p, rule, k, start, candidates, steps)
+    _confirm(found, [] if failed else candidates, start)
+    return candidates, counterexample
+
+
+def _domain(p, mode, count, seed, *terms):
+    """A simulation oracle's domain: the mode, the source's size,
+    ``terms``, and a sampled sweep's count and seed."""
+    sampled = [f"count={count} seed={seed}"] if mode == "sampled" else []
+    return " ".join([mode, f"pairs={p.c_size}x{p.r_size}", *terms, *sampled])
 
 
 def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
@@ -717,28 +756,15 @@ def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, step
 
     For every starting configuration, runs the source CA for ``steps``
     steps and the derived CA for twice as many from the encoded start,
-    requiring exact equality of canonical forms at every checkpoint.
-    All starts of a chunk step together as rows of one matrix; the
-    report names the first failing start and its first failing t.
+    requiring exact equality of canonical forms at every checkpoint:
+    the spacing-2 sweep with the single candidate period 2.  All starts
+    of a chunk step together as rows of one matrix; the report names the
+    first failing start and its first failing t.
     """
     started = time.perf_counter()
     _check_bounds(mode, count, support=max_support, steps=steps)
-    rule = convert(p)
-    domain = (
-        f"{mode} pairs={p.c_size}x{p.r_size} support<={max_support} steps={steps}"
-        + (f" count={count} seed={seed}" if mode == "sampled" else "")
-    )
-    rows = _chunk_rows(rule, 2, 2 * steps, steps, max_support)
-    for words in _start_rows(p, mode, max_support, count, seed, rows):
-        failing = np.flatnonzero(_tracking_failures(p, rule, 2, words, [2], steps)[0].any(axis=0))
-        failed = bool(failing.size)
-        start = words[failing[0] if failed else -1]
-        if failed:
-            break
-    # The first failing start, else the last one, goes through the public
-    # functions once more: they confirm the sweep and word the report.
-    found, counterexample = _track_start(p, rule, 2, start, [2], steps)
-    _confirm(found, [] if failed else [2], start)
+    _, counterexample = _spacing_sweep(p, convert(p), 2, [2], mode, max_support, steps, count, seed)
+    domain = _domain(p, mode, count, seed, f"support<={max_support}", f"steps={steps}")
     return _report("simulate", domain, counterexample, started)
 
 
@@ -749,42 +775,32 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     q derived steps track one source step for every tested start, and
     passes when the conjectured period k works.  The candidate periods
     are narrowed start by start, in enumeration order; every candidate
-    is checked on a whole chunk of starts at once.  k = 2 delegates to
-    the plain two-step check.  A gap list switches to the mass-ledger-only
-    check: heavy and light window sums must stay constant for ``steps``
-    steps (the light window advancing one cell per step), as
-    ``ledger_is_constant`` decides; the starts of a chunk step together,
-    and their ledgers are read off the stepped rows.
+    is checked on a whole chunk of starts at once.  k = 2 is the plain
+    block encoding: the sweep of ``simulate``, under its own domain.  A
+    gap list switches to the mass-ledger-only check: heavy and light
+    window sums must stay constant for ``steps`` steps (the light window
+    advancing one cell per step), as ``ledger_is_constant`` decides; the
+    starts of a chunk step together, and their ledgers are read off the
+    stepped rows.
     """
     started = time.perf_counter()
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
-    if gaps is None:
-        _check_bounds(mode, count, support=max_support, steps=steps)
-    else:
-        _check_bounds(mode, count, steps=steps)
-    rule = convert(p)
-    code = rule.code
     if gaps is not None:
+        _check_bounds(mode, count, steps=steps)
         gaps = _gap_list(gaps)
-        length = len(gaps) + 1
-        domain = (
-            f"{mode} pairs={p.c_size}x{p.r_size} gaps={','.join(map(str, gaps))} "
-            f"blocks={length} steps={steps}"
-            + (f" count={count} seed={seed}" if mode == "sampled" else "")
-        )
+        rule = convert(p)
         rows = max(1, _ROW_CELLS // _ledger_row(rule, gaps, steps)[3])
-        for words in _start_rows(p, mode, length, count, seed, rows, exact=True):
-            failing = np.flatnonzero(_ledger_failures(p, rule, gaps, words, steps))
-            failed = bool(failing.size)
-            start = words[failing[0] if failed else -1]
-            if failed:
-                break
-        # As in simulate, the public functions confirm the sweep on one
-        # start (the first failing one, else the last) and word the report.
+        starts = _start_rows(p, mode, len(gaps) + 1, count, seed, rows, exact=True)
+        # One candidate: every start keeps a constant ledger.
+        _, start, failed = _sweep(
+            starts, [None], lambda words, _: ~_ledger_failures(p, rule, gaps, words, steps)[None]
+        )
+        # As in ``_spacing_sweep``, the public functions confirm the sweep on
+        # one start (the first failing one, else the last) and word the report.
         word = tuple(p._pairs[v] for v in start.tolist())
-        cfg = encode_tau_prime(code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
-        ok, ledger = ledger_is_constant(code, engine.run(rule, cfg, steps))
+        cfg = encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
+        ok, ledger = ledger_is_constant(rule.code, engine.run(rule, cfg, steps))
         _confirm(ok, not failed, start, "a constant ledger")
         counterexample = None
         if not ok:
@@ -793,47 +809,23 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
                 expected="constant heavy and light window sums",
                 actual=f"window={ledger.window} rows={ledger.rows}",
             )
-        return _report("tauprime", domain, counterexample, started)
+        terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
+        return _report("tauprime", _domain(p, mode, count, seed, *terms), counterexample, started)
+    _check_bounds(mode, count, support=max_support, steps=steps)
     k = int(k)
-    if k == 2:
-        inner = check_simulation_correspondence(
-            p, mode=mode, max_support=max_support, steps=steps, count=count, seed=seed
-        )
-        return VerificationReport(
-            "tauprime",
-            f"k=2 is the plain block encoding; delegated: {inner.domain}",
-            inner.passed,
-            inner.counterexample,
-            int(round((time.perf_counter() - started) * 1000)),
-        )
-    if k < 3:
+    if k < 2:
         raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
-    candidates = list(range(1, 4 * k + 1))
-    rows = _chunk_rows(rule, k, max(candidates) * steps, steps, max_support)
-    for words in _start_rows(p, mode, max_support, count, seed, rows):
-        tracks = ~_tracking_failures(p, rule, k, words, candidates, steps).any(axis=1)
-        # alive[i, j]: candidates[i] tracks starts 0..j of this chunk.
-        alive = np.logical_and.accumulate(tracks, axis=1)
-        dead = np.flatnonzero(~alive.any(axis=0))
-        failed = bool(dead.size)
-        j = dead[0] if failed else len(words) - 1
-        start = words[j]
-        if failed:
-            if j:
-                candidates = [q for q, ok in zip(candidates, alive[:, j - 1]) if ok]
-            break
-        candidates = [q for q, ok in zip(candidates, alive[:, -1]) if ok]
-    # As in simulate, the public functions confirm the sweep on one start
-    # (the first with no surviving candidate, else the last) and word the
-    # report.
-    found, counterexample = _track_start(p, rule, k, start, candidates, steps)
-    _confirm(found, [] if failed else candidates, start)
-    period = min(candidates) if counterexample is None else None
-    domain = (
-        f"{mode} pairs={p.c_size}x{p.r_size} k={k} support<={max_support} steps={steps}"
-        + (f" count={count} seed={seed}" if mode == "sampled" else "")
-        + f" period={period}"
+    rule = convert(p)
+    bounds = f"support<={max_support}", f"steps={steps}"
+    if k == 2:
+        _, counterexample = _spacing_sweep(p, rule, 2, [2], mode, max_support, steps, count, seed)
+        domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)
+        return _report("tauprime", domain, counterexample, started)
+    candidates, counterexample = _spacing_sweep(
+        p, rule, k, list(range(1, 4 * k + 1)), mode, max_support, steps, count, seed
     )
+    period = min(candidates) if counterexample is None else None
+    domain = _domain(p, mode, count, seed, f"k={k}", *bounds) + f" period={period}"
     if counterexample is None and k not in candidates:
         counterexample = Counterexample(
             input=f"period search over 1..{4 * k}",

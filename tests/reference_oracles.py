@@ -20,7 +20,7 @@ from rncca import engine
 from rncca.convert import encode_tau, encode_tau_prime, heavy_part, light_part
 from rncca.engine import Cyclic, Finite, Trajectory, cell_at
 from rncca.formats import format_configuration
-from rncca.rpca import QUIESCENT_PAIR
+from rncca.rpca import QUIESCENT_PAIR, step_rpca
 from rncca.verify import Counterexample
 from reference_stepper import reference_step
 
@@ -97,6 +97,126 @@ def reference_tauprime_gaps(p, rule, gaps, *, mode="exhaustive", steps=4, count=
             )
             break
     return ("tauprime", domain, counterexample is None, counterexample)
+
+
+def reference_simulate(p, rule, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
+    code = rule.code
+    domain = (
+        f"{mode} pairs={p.c_size}x{p.r_size} support<={max_support} steps={steps}"
+        + (f" count={count} seed={seed}" if mode == "sampled" else "")
+    )
+    counterexample = None
+    for word in reference_pair_words(p, mode, max_support, count, seed):
+        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
+        source = alpha
+        derived = encode_tau(code, alpha)
+        for t in range(1, steps + 1):
+            source = step_rpca(p, source)
+            derived = reference_step(rule, reference_step(rule, derived))
+            expected = encode_tau(code, source)
+            if derived != expected:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"t={t} {format_configuration(expected)}",
+                    actual=f"t={t} {format_configuration(derived)}",
+                )
+                break
+        if counterexample:
+            break
+    return ("simulate", domain, counterexample is None, counterexample)
+
+
+def reference_tauprime(p, rule, k, *, mode="exhaustive", max_support=3, steps=4, count=None, seed=None):
+    code = rule.code
+    candidates = list(range(1, 4 * k + 1))
+    counterexample = None
+    for word in reference_pair_words(p, mode, max_support, count, seed):
+        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
+        encoded = [encode_tau_prime(code, alpha, k=k)]
+        source = alpha
+        for _ in range(steps):
+            source = step_rpca(p, source)
+            encoded.append(encode_tau_prime(code, source, k=k))
+        horizon = max(candidates) * steps
+        trajectory = engine.run(rule, encoded[0], horizon).configs
+        surviving = [
+            q
+            for q in candidates
+            if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
+        ]
+        if not surviving:
+            t_bad = next(
+                (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
+                None,
+            )
+            if t_bad is None:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"one period q <= {4 * k} working for every start",
+                    actual="no candidate period survives this start",
+                )
+            else:
+                counterexample = Counterexample(
+                    input=format_configuration(alpha),
+                    expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
+                    actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
+                )
+            break
+        candidates = surviving
+    period = min(candidates) if counterexample is None else None
+    domain = (
+        f"{mode} pairs={p.c_size}x{p.r_size} k={k} support<={max_support} steps={steps}"
+        + (f" count={count} seed={seed}" if mode == "sampled" else "")
+        + f" period={period}"
+    )
+    if counterexample is None and k not in candidates:
+        counterexample = Counterexample(
+            input=f"period search over 1..{4 * k}",
+            expected=f"simulation period {k}",
+            actual=f"smallest working period {period}",
+        )
+    return ("tauprime", domain, counterexample is None, counterexample)
+
+
+def reference_conserve_sampled(rule, *, max_support, count, seed):
+    s = rule.state_count
+    rng = random.Random(seed)
+    domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
+    counterexample = None
+    for i in range(count):
+        length = rng.randint(1, max_support)
+        word = tuple(rng.randrange(s) for _ in range(length))
+        cfg = Finite(0, word, 0) if i % 2 == 0 else Cyclic(word)
+        stepped = reference_step(rule, cfg)
+        before, after = sum(cfg.word), sum(stepped.word)
+        if before != after:
+            counterexample = Counterexample(
+                input=format_configuration(cfg),
+                expected=f"cell sum {before}",
+                actual=f"cell sum {after}",
+            )
+            break
+    return ("conserve", domain, counterexample is None, counterexample)
+
+
+def reference_inject_sampled(rule, n, *, count, seed):
+    s = rule.state_count
+    rng = random.Random(seed)
+    domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
+    seen = {}
+    counterexample = None
+    for _ in range(count):
+        word = tuple(rng.randrange(s) for _ in range(n))
+        image = reference_step(rule, Cyclic(word)).word
+        if image in seen and seen[image] != word:
+            counterexample = Counterexample(
+                input=f"{verify._word_literal(seen[image], True)} and {verify._word_literal(word, True)}",
+                expected="distinct images",
+                actual=f"both step to {verify._word_literal(image, True)}",
+            )
+            break
+        seen[image] = word
+    return ("inject", domain, counterexample is None, counterexample)
 
 
 def mutated(rule, key, value):

@@ -1,6 +1,6 @@
 """The batched oracles against the per-start loops they replaced.
 
-``reference_*`` below, and in ``reference_oracles``, are the earlier
+``reference_*``, in ``reference_oracles``, are the earlier
 per-configuration implementations of ``simulate``, ``tauprime
 --spacing``, ``tauprime --gaps`` and sampled ``conserve`` / ``inject``,
 kept verbatim apart from taking the derived rule as an argument,
@@ -22,140 +22,22 @@ import rncca.verify as verify
 from rncca import engine
 from rncca.convert import convert, encode_tau, encode_tau_prime
 from rncca.engine import BiPeriodic, Cyclic, Finite, make_rule, window_growth
-from rncca.formats import format_configuration
-from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca, step_rpca
-from rncca.verify import Counterexample
+from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca
 from reference_oracles import (
     fields,
     reached_mutation,
+    reference_conserve_sampled,
+    reference_inject_sampled,
     reference_ledger_is_constant,
     reference_mass_ledger,
     reference_pair_words,
+    reference_simulate,
+    reference_tauprime,
     reference_tauprime_gaps,
 )
 from reference_stepper import reference_step
 
 XOR = example_rpca("xor")
-
-
-def reference_simulate(p, rule, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
-    code = rule.code
-    domain = (
-        f"{mode} pairs={p.c_size}x{p.r_size} support<={max_support} steps={steps}"
-        + (f" count={count} seed={seed}" if mode == "sampled" else "")
-    )
-    counterexample = None
-    for word in reference_pair_words(p, mode, max_support, count, seed):
-        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
-        source = alpha
-        derived = encode_tau(code, alpha)
-        for t in range(1, steps + 1):
-            source = step_rpca(p, source)
-            derived = reference_step(rule, reference_step(rule, derived))
-            expected = encode_tau(code, source)
-            if derived != expected:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"t={t} {format_configuration(expected)}",
-                    actual=f"t={t} {format_configuration(derived)}",
-                )
-                break
-        if counterexample:
-            break
-    return ("simulate", domain, counterexample is None, counterexample)
-
-
-def reference_tauprime(p, rule, k, *, mode="exhaustive", max_support=3, steps=4, count=None, seed=None):
-    code = rule.code
-    candidates = list(range(1, 4 * k + 1))
-    counterexample = None
-    for word in reference_pair_words(p, mode, max_support, count, seed):
-        alpha = engine.canonicalize(Finite(0, word, QUIESCENT_PAIR))
-        encoded = [encode_tau_prime(code, alpha, k=k)]
-        source = alpha
-        for _ in range(steps):
-            source = step_rpca(p, source)
-            encoded.append(encode_tau_prime(code, source, k=k))
-        horizon = max(candidates) * steps
-        trajectory = engine.run(rule, encoded[0], horizon).configs
-        surviving = [
-            q
-            for q in candidates
-            if all(trajectory[q * t] == encoded[t] for t in range(1, steps + 1))
-        ]
-        if not surviving:
-            t_bad = next(
-                (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
-                None,
-            )
-            if t_bad is None:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"one period q <= {4 * k} working for every start",
-                    actual="no candidate period survives this start",
-                )
-            else:
-                counterexample = Counterexample(
-                    input=format_configuration(alpha),
-                    expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
-                    actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
-                )
-            break
-        candidates = surviving
-    period = min(candidates) if counterexample is None else None
-    domain = (
-        f"{mode} pairs={p.c_size}x{p.r_size} k={k} support<={max_support} steps={steps}"
-        + (f" count={count} seed={seed}" if mode == "sampled" else "")
-        + f" period={period}"
-    )
-    if counterexample is None and k not in candidates:
-        counterexample = Counterexample(
-            input=f"period search over 1..{4 * k}",
-            expected=f"simulation period {k}",
-            actual=f"smallest working period {period}",
-        )
-    return ("tauprime", domain, counterexample is None, counterexample)
-
-
-def reference_conserve_sampled(rule, *, max_support, count, seed):
-    s = rule.state_count
-    rng = random.Random(seed)
-    domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
-    counterexample = None
-    for i in range(count):
-        length = rng.randint(1, max_support)
-        word = tuple(rng.randrange(s) for _ in range(length))
-        cfg = Finite(0, word, 0) if i % 2 == 0 else Cyclic(word)
-        stepped = reference_step(rule, cfg)
-        before, after = sum(cfg.word), sum(stepped.word)
-        if before != after:
-            counterexample = Counterexample(
-                input=format_configuration(cfg),
-                expected=f"cell sum {before}",
-                actual=f"cell sum {after}",
-            )
-            break
-    return ("conserve", domain, counterexample is None, counterexample)
-
-
-def reference_inject_sampled(rule, n, *, count, seed):
-    s = rule.state_count
-    rng = random.Random(seed)
-    domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
-    seen = {}
-    counterexample = None
-    for _ in range(count):
-        word = tuple(rng.randrange(s) for _ in range(n))
-        image = reference_step(rule, Cyclic(word)).word
-        if image in seen and seen[image] != word:
-            counterexample = Counterexample(
-                input=f"{verify._word_literal(seen[image], True)} and {verify._word_literal(word, True)}",
-                expected="distinct images",
-                actual=f"both step to {verify._word_literal(image, True)}",
-            )
-            break
-        seen[image] = word
-    return ("inject", domain, counterexample is None, counterexample)
 
 
 @st.composite
@@ -392,22 +274,67 @@ def test_chunked_gaps_sweep_matches_reference(monkeypatch, row_cells):
     assert False in verdicts
 
 
-def test_gaps_sweep_fault_raises_confirmation_error(monkeypatch):
-    # A batch evaluator that is right on the single rows ``engine.run``
-    # steps but wrong on the sweep's row matrices: the confirmed start
-    # gets another verdict from the public functions, and the oracle
-    # refuses to report.
-    rule = convert(XOR)
+def wrong_on_matrices(rule):
+    """``rule`` with a batch evaluator that is right on the single rows
+    ``engine.run`` steps but wrong on the sweeps' row matrices."""
     s = rule.state_count
 
     def local_batch(cols):
         out = rule.local_batch(cols)
         return out if out.ndim == 1 else (out + 1) % s
 
-    faulty = dataclasses.replace(rule, local_batch=local_batch)
+    return dataclasses.replace(rule, local_batch=local_batch)
+
+
+def test_gaps_sweep_fault_raises_confirmation_error(monkeypatch):
+    # The confirmed start gets another verdict from the public functions,
+    # and the oracle refuses to report.
+    faulty = wrong_on_matrices(convert(XOR))
     monkeypatch.setattr(verify, "convert", lambda p: faulty)
     with pytest.raises(RuntimeError, match="batched sweep found a constant ledger False"):
         verify.check_tau_prime_correspondence(XOR, gaps=[1, 3], mode="exhaustive", steps=3)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda p: verify.check_simulation_correspondence(p, mode="exhaustive", max_support=2, steps=2),
+        lambda p: verify.check_tau_prime_correspondence(p, k=2, mode="exhaustive", max_support=2, steps=2),
+        lambda p: verify.check_tau_prime_correspondence(p, k=3, mode="exhaustive", max_support=2, steps=1),
+    ],
+    ids=["simulate", "tauprime-k2", "tauprime-k3"],
+)
+def test_spacing_sweep_fault_raises_confirmation_error(monkeypatch, check):
+    # As for --gaps: the spacing sweep fails every start on its row
+    # matrices, the public functions pass the start it ends on, and the
+    # oracle refuses to report.
+    faulty = wrong_on_matrices(convert(XOR))
+    monkeypatch.setattr(verify, "convert", lambda p: faulty)
+    with pytest.raises(RuntimeError, match=r"batched sweep found periods \[\]"):
+        check(XOR)
+
+
+def test_tauprime_spacing_2_is_one_sweep(monkeypatch):
+    # k = 2 converts the rule once and sweeps it itself, with simulate's
+    # domain after its own prefix.
+    converted = []
+
+    def counting_convert(p):
+        converted.append(p)
+        return convert(p)
+
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("k = 2 went through check_simulation_correspondence")
+
+    monkeypatch.setattr(verify, "convert", counting_convert)
+    monkeypatch.setattr(verify, "check_simulation_correspondence", no_simulate)
+    kwargs = dict(mode="sampled", max_support=3, steps=2, count=10, seed=5)
+    report = verify.check_tau_prime_correspondence(XOR, k=2, **kwargs)
+    assert len(converted) == 1
+    assert report.passed
+    assert report.domain == (
+        "k=2 is the plain block encoding; delegated: sampled pairs=2x2 support<=3 steps=2 count=10 seed=5"
+    )
 
 
 @st.composite

@@ -242,6 +242,8 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-tauprime.txt", ["tauprime", "--spacing", "3", "--support", "2", "--steps", "2"]),
         ("verify-tauprime-gaps.txt", ["tauprime", "--gaps", "1,2", "--sampled", "20", "--seed", "1"]),
         ("verify-tauprime-gaps-exhaustive.txt", ["tauprime", "--gaps", "1,3", "--steps", "6"]),
+        ("verify-tauprime-k2.txt", ["tauprime", "--spacing", "2", "--support", "2", "--steps", "2"]),
+        ("verify-simulate-sampled.txt", ["simulate", "--sampled", "30", "--seed", "2", "--support", "5", "--steps", "3"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):
@@ -365,6 +367,16 @@ def test_verify_sampled_flags(xor_rule, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "sampled" in out and "seed=9" in out
+
+
+def test_verify_modes_are_exclusive(xor_rule, capsys):
+    # Both modes at once is a usage error, not a sampled run.
+    assert main(["verify", xor_rule, "conserve", "--exhaustive", "--sampled", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert main(["verify", xor_rule, "conserve", "--exhaustive", "--support", "2"]) == 0
+    assert "exhaustive" in capsys.readouterr().out
 
 
 def test_verify_inject_on_rpca_autoconverts(xor_rule, capsys):

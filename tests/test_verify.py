@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import rncca.verify as verify
 from rncca.convert import ParticleCode, convert, encode_tau
 from rncca.engine import Cyclic, Finite, make_rule, run
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca
@@ -145,7 +146,12 @@ def test_inject_sampled_mode_runs():
     ],
     ids=["conserve", "inject", "simulate", "tauprime-k", "tauprime-gaps"],
 )
-def test_unknown_mode_is_refused(check):
+def test_unknown_mode_is_refused(check, monkeypatch):
+    # Refused with the bounds, before the rule is converted or swept.
+    def no_convert(p):
+        raise AssertionError("converted before the mode was checked")
+
+    monkeypatch.setattr(verify, "convert", no_convert)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         check("bogus")
 
