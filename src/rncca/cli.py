@@ -326,15 +326,10 @@ def cmd_convert(args):
 
 
 def _default_window(config, rule, steps):
-    wl, wr = engine.window_growth(rule.neighborhood)
     if isinstance(config, engine.Cyclic):
         return 0, len(config.word) - 1
-    if isinstance(config, engine.Finite):
-        start = config.offset
-        end = config.offset + max(len(config.word), 1) - 1
-    else:
-        start = config.center_offset
-        end = start + max(len(config.center), 1) - 1
+    start, end = engine._center_span(config)
+    wl, wr = engine.window_growth(rule.neighborhood)
     return start - wl * steps - 1, end + wr * steps + 1
 
 
@@ -378,10 +373,10 @@ def cmd_verify(args):
                 count=count, seed=args.seed,
             )
         else:
-            gaps = _parse_gaps(args.gaps) if args.gaps else None
+            gaps = None if args.gaps is None else _parse_gaps(args.gaps)
             report = verify.check_tau_prime_correspondence(
                 p,
-                k=None if gaps else args.spacing,
+                k=args.spacing if gaps is None else None,
                 gaps=gaps,
                 mode=mode,
                 max_support=args.support,

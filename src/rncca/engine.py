@@ -12,6 +12,12 @@ shapes make the infinite lattice finitely representable:
 * ``BiPeriodic`` -- periodic backgrounds left and right of a finite
   center patch, each background pinned the same way as ``Cyclic``.
 
+Every shape is read through one layout, ``_parts``: a finite
+configuration is the bi-periodic one on the background ``(q,)``, and a
+cyclic word the one with an empty center between two copies of the
+word.  Windows, checks, canonical forms and the padded rows all read
+that layout; only stepping keeps a cyclic word as a ring.
+
 Stepping any shape returns the canonical form of the image, so stepped
 configurations compare with plain ``==``.  Cell values are the integers
 ``0..state_count-1``; partitioned cells step as their integer codes (see
@@ -121,8 +127,9 @@ class Trajectory:
     ``rows`` is None, or what ``run`` stepped as numpy rows: per t, a
     pair ``(x0, cells)`` whose integer array ``cells`` holds the cells
     of ``configs[t]`` at x0, x0 + 1, ...  A cyclic row is the word at
-    x0 = 0; a finite or bi-periodic row covers the whole center, so the
-    cells beyond it follow the configuration's backgrounds.  ``rows``
+    x0 = 0; a finite or bi-periodic row covers the whole center and at
+    least one background period beyond it on each side, so the cells
+    beyond the row follow the configuration's backgrounds.  ``rows``
     takes no part in ``==``, ``hash`` or ``repr``.
     """
 
@@ -259,6 +266,36 @@ def cell_at(config, x):
     return window_cells(config, x, x)[0]
 
 
+def _parts(config):
+    """The layout ``(left, center, c0, right)`` that every shape is read
+    as: ``center`` holds the cells from ``c0`` on, and the pinned words
+    ``left`` and ``right`` the cells before it and after it.  A finite
+    configuration lies on the background ``(q,)``; a cyclic word is both
+    backgrounds around an empty center at 0."""
+    if isinstance(config, BiPeriodic):
+        return config.left, config.center, config.center_offset, config.right
+    if isinstance(config, Finite):
+        background = (config.quiescent,)
+        return background, config.word, config.offset, background
+    if isinstance(config, Cyclic):
+        return config.word, (), 0, config.word
+    raise TypeError(f"not a configuration: {config!r}")
+
+
+def _distinct_words(config):
+    """The words of ``_parts(config)``, a background that is both sides
+    given once."""
+    left, center, _, right = _parts(config)
+    return (left, center) if right is left else (left, center, right)
+
+
+def _center_span(config):
+    """The first and last position of the center of ``_parts(config)``;
+    an empty center spans the one cell at its offset."""
+    _, center, c0, _ = _parts(config)
+    return c0, c0 + max(len(center), 1) - 1
+
+
 def _primitive_pinned(word):
     """Shortest prefix generating the same pinned periodic function."""
     n = len(word)
@@ -266,20 +303,6 @@ def _primitive_pinned(word):
         if n % d == 0 and all(word[i] == word[i % d] for i in range(n)):
             return word[:d]
     return word
-
-
-def _canonicalize_finite(cfg):
-    word = list(cfg.word)
-    offset = cfg.offset
-    q = cfg.quiescent
-    while word and word[0] == q:
-        word.pop(0)
-        offset += 1
-    while word and word[-1] == q:
-        word.pop()
-    if not word:
-        offset = 0
-    return Finite(offset, tuple(word), q)
 
 
 def _canonicalize_biperiodic(cfg):
@@ -307,20 +330,19 @@ def _canonicalize_biperiodic(cfg):
 def canonicalize(config):
     """Return the unique canonical form of a configuration.
 
-    Finite: no quiescent cells at either end of the word (the empty
-    word sits at offset 0).  Cyclic: stored as given.  BiPeriodic:
-    background words reduced to their shortest pinned period, a center
-    that keeps no cell equal to the phase-aligned background, and an
-    empty center normalized (offset 0 between equal backgrounds,
-    leftmost valid boundary otherwise).
+    Cyclic: stored as given.  BiPeriodic: background words reduced to
+    their shortest pinned period, a center that keeps no cell equal to
+    the phase-aligned background, and an empty center normalized (offset
+    0 between equal backgrounds, leftmost valid boundary otherwise).
+    Finite: the same form of its ``_parts``, read back, so no quiescent
+    cells at either end of the word (the empty word sits at offset 0).
     """
-    if isinstance(config, Finite):
-        return _canonicalize_finite(config)
     if isinstance(config, Cyclic):
         return config
-    if isinstance(config, BiPeriodic):
-        return _canonicalize_biperiodic(config)
-    raise TypeError(f"not a configuration: {config!r}")
+    canonical = _canonicalize_biperiodic(BiPeriodic(*_parts(config)))
+    if isinstance(config, Finite):
+        return Finite(canonical.center_offset, canonical.center, config.quiescent)
+    return canonical
 
 
 def configs_equal(a, b):
@@ -334,12 +356,7 @@ def _check_config(rule, cfg):
     """Refuse a configuration that ``rule`` cannot step: a finite one
     on another background than the rule's quiescent state, or one with
     a cell that is not a state."""
-    if isinstance(cfg, BiPeriodic):
-        words = (cfg.left, cfg.center, cfg.right)
-    elif isinstance(cfg, (Finite, Cyclic)):
-        words = (cfg.word,)
-    else:
-        raise TypeError(f"not a configuration: {cfg!r}")
+    words = _distinct_words(cfg)
     if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
         raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
@@ -404,15 +421,7 @@ def window_cells(config, x_min, x_max):
     """The cells of ``config`` at x_min..x_max, as one tuple: a finite
     configuration is quiescent beyond its word, and periodic words are
     pinned to absolute positions."""
-    if isinstance(config, Cyclic):
-        return _pinned_cells(config.word, x_min, x_max + 1)
-    if isinstance(config, Finite):
-        left = right = (config.quiescent,)
-        center, c0 = config.word, config.offset
-    elif isinstance(config, BiPeriodic):
-        left, center, c0, right = config.left, config.center, config.center_offset, config.right
-    else:
-        raise TypeError(f"not a configuration: {config!r}")
+    left, center, c0, right = _parts(config)
     c1 = c0 + len(center)
     lo, hi = max(x_min, c0), min(x_max + 1, c1)
     return (
@@ -430,12 +439,7 @@ def window_matrix(trajectory, x_min, x_max):
     width = x_max - x_min + 1
     matrix = np.empty((len(trajectory.rows), width), dtype=np.intp)
     for out, (x0, cells), cfg in zip(matrix, trajectory.rows, trajectory.configs):
-        if isinstance(cfg, Cyclic):
-            left = right = cfg.word  # the row is this word, at x0 = 0
-        elif isinstance(cfg, Finite):
-            left = right = (cfg.quiescent,)
-        else:
-            left, right = cfg.left, cfg.right
+        left, _, _, right = _parts(cfg)
         a = min(max(x0 - x_min, 0), width)
         b = min(max(x0 + len(cells) - x_min, a), width)
         out[a:b] = cells[x_min + a - x0 : x_min + b - x0]
@@ -489,12 +493,8 @@ def _run_rows(rule, cfg, steps):
             out.append(Cyclic(tuple(row.tolist())))
             rows.append((0, row))
         return out, rows
-    if isinstance(cfg, Finite):
-        c0, c1 = cfg.offset, cfg.offset + len(cfg.word)
-        nl = nr = 0
-    else:
-        c0, c1 = cfg.center_offset, cfg.center_offset + len(cfg.center)
-        nl, nr = len(cfg.left), len(cfg.right)
+    left, center, c0, right = _parts(cfg)
+    c1, nl, nr = c0 + len(center), len(left), len(right)
     wl, wr = window_growth(nb)
     start = c0 - nl - (wl - lo) * steps
     row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)

@@ -158,16 +158,9 @@ def check_local_injective(p):
 
 
 def _validate_config(p, config):
-    if isinstance(config, Finite):
-        if config.quiescent != QUIESCENT_PAIR:
-            raise ValueError("partitioned configurations use quiescent pair (0, 0)")
-        words = [config.word]
-    elif isinstance(config, Cyclic):
-        words = [config.word]
-    elif isinstance(config, BiPeriodic):
-        words = [config.left, config.center, config.right]
-    else:
-        raise TypeError(f"not a configuration: {config!r}")
+    words = engine._distinct_words(config)
+    if isinstance(config, Finite) and config.quiescent != QUIESCENT_PAIR:
+        raise ValueError("partitioned configurations use quiescent pair (0, 0)")
     for word in words:
         for cell in word:
             if (

@@ -851,11 +851,7 @@ class MassLedger:
 def _aligned_window(config):
     if isinstance(config, Cyclic):
         return (0, len(config.word) - 1)
-    if isinstance(config, Finite):
-        start, end = config.offset, config.offset + max(len(config.word), 1) - 1
-    else:
-        start = config.center_offset
-        end = start + max(len(config.center), 1) - 1
+    start, end = engine._center_span(config)
     start -= start % 2
     if end % 2 == 0:
         end += 1

@@ -5,6 +5,11 @@ It evaluates ``rule.local`` once per cell of the widened window, on any
 hashable cell values, and reads nothing of ``rule`` but ``neighborhood``
 and ``local``: ``LocalRule`` supplies those for a local map that is not
 an ``engine.Rule``, such as one over partitioned pairs.
+
+``_canonicalize_finite`` is the finite canonicalizer ``engine`` kept
+before ``canonicalize`` read a finite configuration as a bi-periodic
+one, copied verbatim, so that finite steps are checked against a form
+found independently.
 """
 
 from typing import Callable, NamedTuple
@@ -14,10 +19,23 @@ from rncca.engine import (
     Cyclic,
     Finite,
     _canonicalize_biperiodic,
-    _canonicalize_finite,
     cell_at,
     window_growth,
 )
+
+
+def _canonicalize_finite(cfg):
+    word = list(cfg.word)
+    offset = cfg.offset
+    q = cfg.quiescent
+    while word and word[0] == q:
+        word.pop(0)
+        offset += 1
+    while word and word[-1] == q:
+        word.pop()
+    if not word:
+        offset = 0
+    return Finite(offset, tuple(word), q)
 
 
 class LocalRule(NamedTuple):

@@ -1,9 +1,9 @@
 """The one block codec against the per-case encoders and decoders it replaced.
 
-``reference_*`` below are the earlier implementations of ``encode_tau``,
-``encode_tau_prime``, ``decode``, ``decode_tau_prime`` and
-``_decode_block``, kept verbatim apart from their names.  Each wrote the
-spacing-k block layout (or read it back) on its own, once per shape.
+The ``reference_*`` codec functions in ``reference_oracles`` are the
+earlier implementations of ``encode_tau``, ``encode_tau_prime``,
+``decode``, ``decode_tau_prime`` and ``_decode_block``, kept verbatim
+apart from their names.  Each wrote the spacing-k block layout (or read it back) on its own, once per shape.
 The codec must give the same configuration, or raise the same exception
 type at the same cell, with the same message apart from the documented
 k = 2 rewording, the documented refusal of cells that are not pairs, and
@@ -23,207 +23,19 @@ from rncca.convert import (
     TauDecodeError,
     decode,
     decode_tau_prime,
-    decompose,
     encode_tau,
     encode_tau_prime,
-    phi,
-    phi_inverse,
 )
 from rncca.engine import BiPeriodic, Cyclic, Finite
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, format_rpca
+from reference_oracles import (
+    reference_decode,
+    reference_decode_tau_prime,
+    reference_encode_tau,
+    reference_encode_tau_prime,
+)
 
 CODES = (ParticleCode(2, 2), ParticleCode(2, 3), ParticleCode(3, 4))
-
-
-def _require_pair_finite(config):
-    if not isinstance(config, Finite):
-        raise TypeError("expected a finite configuration")
-    if config.quiescent != QUIESCENT_PAIR:
-        raise ValueError("partitioned configurations use quiescent pair (0, 0)")
-
-
-def reference_encode_tau(code, config):
-    if isinstance(config, Finite):
-        _require_pair_finite(config)
-        background = code.quiescent_block
-        cells = []
-        for pair in config.word:
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-        return engine.canonicalize(
-            BiPeriodic(background, tuple(cells), 2 * config.offset, background)
-        )
-    if isinstance(config, Cyclic):
-        cells = []
-        for pair in config.word:
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-        return Cyclic(tuple(cells))
-    raise TypeError("only finite and cyclic configurations can be block-encoded")
-
-
-def reference_encode_tau_prime(code, config, k=None, gaps=None, background_gap=1):
-    if (k is None) == (gaps is None):
-        raise ValueError("give exactly one of k and gaps")
-    hat0, check0 = code.quiescent_block
-    if k is not None:
-        k = int(k)
-        if k < 3:
-            raise ValueError("uniform spacing needs k >= 3; k = 2 is the plain block encoding")
-        if isinstance(config, Finite):
-            _require_pair_finite(config)
-            background = (hat0, check0) + (0,) * (k - 2)
-            cells = []
-            for pair in config.word:
-                cells.append(phi(code, "hat", *pair))
-                cells.append(phi(code, "check", *pair))
-                cells.extend([0] * (k - 2))
-            if cells:
-                del cells[-(k - 2):]
-            return engine.canonicalize(
-                BiPeriodic(background, tuple(cells), k * config.offset, background)
-            )
-        if isinstance(config, Cyclic):
-            cells = []
-            for pair in config.word:
-                cells.append(phi(code, "hat", *pair))
-                cells.append(phi(code, "check", *pair))
-                cells.extend([0] * (k - 2))
-            return Cyclic(tuple(cells))
-        raise TypeError("only finite and cyclic configurations can be block-encoded")
-    gaps = [int(g) for g in gaps]
-    if any(g < 1 for g in gaps):
-        raise ValueError("every gap must leave at least one quiescent cell")
-    if isinstance(config, Finite):
-        _require_pair_finite(config)
-        if len(gaps) != max(0, len(config.word) - 1):
-            raise ValueError(
-                f"need {max(0, len(config.word) - 1)} gaps for {len(config.word)} blocks, got {len(gaps)}"
-            )
-        if int(background_gap) < 1:
-            raise ValueError("background gap must be at least 1")
-        k_bg = int(background_gap) + 2
-        background = (hat0, check0) + (0,) * (k_bg - 2)
-        if not config.word:
-            return BiPeriodic(background, (), 0, background)
-        cells = []
-        for i, pair in enumerate(config.word):
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-            if i < len(gaps):
-                cells.extend([0] * gaps[i])
-        start = k_bg * config.offset
-        # Pad to the next background block boundary, keeping at least
-        # one quiescent cell before the background resumes.
-        end = start + len(cells)
-        next_block = -((-(end + 1)) // k_bg) * k_bg
-        cells.extend([0] * (next_block - end))
-        return engine.canonicalize(
-            BiPeriodic(background, tuple(cells), start, background)
-        )
-    if isinstance(config, Cyclic):
-        if len(gaps) != len(config.word):
-            raise ValueError(
-                f"need {len(config.word)} gaps for a cyclic word of {len(config.word)} blocks"
-            )
-        cells = []
-        for pair, gap in zip(config.word, gaps):
-            cells.append(phi(code, "hat", *pair))
-            cells.append(phi(code, "check", *pair))
-            cells.extend([0] * gap)
-        return Cyclic(tuple(cells))
-    raise TypeError("only finite and cyclic configurations can be block-encoded")
-
-
-def reference_decode_block(code, q_hat, q_check, position):
-    heavy, light = decompose(code, q_hat)
-    if heavy >= code.hat_heavy_limit or light >= code.hat_light_limit:
-        raise TauDecodeError(f"state {q_hat} is not a hat block value", position)
-    heavy2, light2 = decompose(code, q_check)
-    if heavy2 < code.hat_heavy_limit or light2 < code.hat_light_limit:
-        raise TauDecodeError(f"state {q_check} is not a check block value", position + 1)
-    pair = phi_inverse(code, "hat", q_hat)
-    if phi_inverse(code, "check", q_check) != pair:
-        raise TauDecodeError(
-            f"block halves {q_hat},{q_check} encode different cell values", position
-        )
-    return pair
-
-
-def reference_decode(code, config):
-    if isinstance(config, Cyclic):
-        word = config.word
-        if len(word) % 2:
-            raise TauDecodeError(f"cyclic word length {len(word)} is odd", 0)
-        pairs = tuple(
-            reference_decode_block(code, word[i], word[i + 1], i) for i in range(0, len(word), 2)
-        )
-        return Cyclic(pairs)
-    if isinstance(config, BiPeriodic):
-        cfg = engine.canonicalize(config)
-        background = code.quiescent_block
-        if cfg.left != background:
-            raise TauDecodeError(
-                f"left background {cfg.left} is not the quiescent block {background}"
-            )
-        if cfg.right != background:
-            raise TauDecodeError(
-                f"right background {cfg.right} is not the quiescent block {background}"
-            )
-        start = cfg.center_offset
-        if start % 2:
-            start -= 1
-        end = cfg.center_offset + len(cfg.center)
-        if end % 2:
-            end += 1
-        pairs = tuple(
-            reference_decode_block(
-                code, engine.cell_at(cfg, x), engine.cell_at(cfg, x + 1), x
-            )
-            for x in range(start, end, 2)
-        )
-        return engine.canonicalize(Finite(start // 2, pairs, QUIESCENT_PAIR))
-    raise TauDecodeError(
-        "finite configurations are never block encodings (the background is not quiescent)"
-    )
-
-
-def reference_decode_tau_prime(code, config, k):
-    k = int(k)
-    if k < 3:
-        raise ValueError("uniform spacing needs k >= 3")
-    hat0, check0 = code.quiescent_block
-    background = (hat0, check0) + (0,) * (k - 2)
-    if isinstance(config, Cyclic):
-        word = config.word
-        if len(word) % k:
-            raise TauDecodeError(f"cyclic word length {len(word)} is not a multiple of {k}", 0)
-        pairs = []
-        for i in range(0, len(word), k):
-            pairs.append(reference_decode_block(code, word[i], word[i + 1], i))
-            for j in range(i + 2, i + k):
-                if word[j] != 0:
-                    raise TauDecodeError(f"gap cell holds {word[j]}", j)
-        return Cyclic(tuple(pairs))
-    if isinstance(config, BiPeriodic):
-        cfg = engine.canonicalize(config)
-        if cfg.left != background or cfg.right != background:
-            raise TauDecodeError(f"backgrounds do not match the spacing-{k} quiescent block")
-        start = cfg.center_offset - cfg.center_offset % k
-        end = cfg.center_offset + len(cfg.center)
-        end = -((-end) // k) * k
-        pairs = []
-        for x in range(start, end, k):
-            pairs.append(
-                reference_decode_block(code, engine.cell_at(cfg, x), engine.cell_at(cfg, x + 1), x)
-            )
-            for j in range(x + 2, x + k):
-                if engine.cell_at(cfg, j) != 0:
-                    raise TauDecodeError(f"gap cell holds {engine.cell_at(cfg, j)}", j)
-        return engine.canonicalize(Finite(start // k, tuple(pairs), QUIESCENT_PAIR))
-    raise TauDecodeError(
-        "finite configurations are never block encodings (the background is not quiescent)"
-    )
 
 
 def outcome(fn, *args, **kwargs):

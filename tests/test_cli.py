@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rncca import verify
 from rncca.cli import RenderSpec, main, render
 from rncca.convert import ParticleCode, convert, encode_tau
 from rncca.engine import Finite, run
@@ -268,6 +269,7 @@ def test_convert_balanced_pairs_match_golden(capsys):
         ("run-ring.txt", "embed-ring.cfg", ["--steps", "9"]),
         ("run-window.txt", "embed-tau.cfg", ["--steps", "12", "--window", "-60", "90"]),
         ("run-ring-window.txt", "embed-ring.cfg", ["--steps", "9", "--window", "-40", "70"]),
+        ("run-finite.txt", "finite.cfg", ["--steps", "10"]),
     ],
 )
 def test_run_matches_golden_diagrams(capsys, golden, config, args):
@@ -287,6 +289,17 @@ def test_verify_tauprime(xor_rule, capsys):
         "verify", xor_rule, "tauprime", "--spacing", "3", "--support", "2", "--steps", "3",
     ]) == 0
     assert "period=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gaps", ["", ","])
+def test_verify_tauprime_empty_gap_list_is_one_block(xor_rule, capsys, gaps):
+    # As ``embed --gaps ''`` encodes it: one block, not the uniform
+    # spacing-3 check.
+    assert main(["verify", xor_rule, "tauprime", "--gaps", gaps]) == 0
+    expected = verify.check_tau_prime_correspondence(example_rpca("xor"), gaps=[])
+    out = capsys.readouterr().out
+    assert f"domain={expected.domain!r}" in out
+    assert "gaps= blocks=1 steps=4" in out
 
 
 def test_embed_tau_golden(xor_rule, tmp_path, capsys):

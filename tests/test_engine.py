@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncca.convert import convert
 from rncca.engine import (
@@ -17,6 +19,7 @@ from rncca.engine import (
     window_growth,
 )
 from rncca.rpca import example_rpca
+from reference_stepper import _canonicalize_finite as reference_canonicalize_finite
 
 
 def right_shift():
@@ -133,6 +136,24 @@ def test_worked_biperiodic_step():
 def test_canonicalize_finite_strips_quiescent_ends():
     assert canonicalize(Finite(0, [0, 1, 0], 0)) == Finite(1, (1,), 0)
     assert canonicalize(Finite(7, [0, 0], 0)) == Finite(0, (), 0)
+
+
+@st.composite
+def finite_configs(draw):
+    """Integer or pair cells, with runs of the background at either end;
+    the middle may be empty, so empty and all-background words occur."""
+    pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    cell = pairs if draw(st.booleans()) else st.integers(0, 3)
+    q = draw(cell)
+    ends = st.integers(0, 3)
+    word = [q] * draw(ends) + draw(st.lists(cell, max_size=8)) + [q] * draw(ends)
+    return Finite(draw(st.integers()), word, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_configs())
+def test_canonicalize_finite_matches_the_reference(cfg):
+    assert canonicalize(cfg) == reference_canonicalize_finite(cfg)
 
 
 def test_canonicalize_biperiodic_shrinks_center():

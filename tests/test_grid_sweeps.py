@@ -1,9 +1,10 @@
 """Exhaustive ``conserve`` / ``inject`` over digit grids against the
 word-matrix sweeps they replaced.
 
-``reference_*`` below are the earlier matrix-path implementations: every
-word of a chunk as one row of an int64 matrix, images stacked column by
-column, image keys by Horner's rule, and the collision rescan.  They are
+``reference_conserve`` and ``reference_inject`` in ``reference_oracles``
+are the earlier matrix-path implementations: every word of a chunk as
+one row of an int64 matrix, images stacked column by column, image keys
+by Horner's rule, and the collision rescan.  They are
 kept verbatim apart from taking the rule as an argument, returning the
 report fields and using the ``reference_`` prefix.  Every grid report
 must equal them in property, domain, verdict and counterexample.
@@ -22,175 +23,9 @@ import rncca.verify as verify
 from rncca import engine
 from rncca.cli import main
 from rncca.convert import convert
-from rncca.engine import Cyclic, Finite, make_rule, window_growth
-from rncca.formats import format_configuration
+from rncca.engine import make_rule
 from rncca.rpca import example_rpca, format_rpca
-from rncca.verify import Counterexample
-from reference_oracles import fields, mutated
-
-REFERENCE_CHUNK = 1 << 18
-
-
-def reference_word_chunks(s, length, chunk=REFERENCE_CHUNK):
-    """All s**length words as (rows, length) int64 arrays, lexicographic."""
-    total = s**length
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = []
-        for _ in range(length):
-            cols.append(idx % s)
-            idx = idx // s
-        yield np.stack(cols[::-1], axis=1)
-
-
-def reference_batch_of(rule):
-    if rule.local_batch is not None:
-        return rule.local_batch
-    local = rule.local
-
-    def batch(cols):
-        hoods = zip(*(np.ravel(col).tolist() for col in cols))
-        return np.array([local(*hood) for hood in hoods], dtype=np.int64).reshape(np.shape(cols[0]))
-
-    return batch
-
-
-def reference_finite_images(rule, words):
-    nb = rule.neighborhood
-    batch = reference_batch_of(rule)
-    wl, wr = window_growth(nb)
-    lo, hi = min(nb), max(nb)
-    rows, length = words.shape
-    span_lo = -wl + lo
-    span_hi = length - 1 + wr + hi
-    src = np.zeros((rows, span_hi - span_lo + 1), dtype=words.dtype)
-    src[:, -span_lo : -span_lo + length] = words
-    outs = [
-        batch([src[:, x + d - span_lo] for d in nb])
-        for x in range(-wl, length + wr)
-    ]
-    return np.stack(outs, axis=1)
-
-
-def reference_cyclic_images(rule, words):
-    nb = rule.neighborhood
-    batch = reference_batch_of(rule)
-    rows, length = words.shape
-    outs = [
-        batch([words[:, (i + d) % length] for d in nb])
-        for i in range(length)
-    ]
-    return np.stack(outs, axis=1)
-
-
-def reference_word_literal(word, cyclic=False):
-    cfg = Cyclic(tuple(word)) if cyclic else Finite(0, tuple(word), 0)
-    return format_configuration(cfg)
-
-
-def reference_first_unconserved(rule, words, cyclic):
-    images = (reference_cyclic_images if cyclic else reference_finite_images)(rule, words)
-    bad = np.flatnonzero(words.sum(axis=1) != images.sum(axis=1))
-    return (int(bad[0]), images[bad[0]]) if bad.size else None
-
-
-def reference_conservation_counterexample(word, image, cyclic):
-    return Counterexample(
-        input=reference_word_literal(word, cyclic),
-        expected=f"cell sum {sum(word)}",
-        actual=f"cell sum {int(image.sum())}",
-    )
-
-
-def reference_conserve(rule, max_support):
-    s = rule.state_count
-    domain = (
-        f"exhaustive states={s} finite words len={max_support} "
-        f"cyclic len<={max_support}"
-    )
-    sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
-    counterexample = None
-    for length, cyclic in sweeps:
-        for words in reference_word_chunks(s, length):
-            found = reference_first_unconserved(rule, words, cyclic)
-            if found:
-                row, image = found
-                counterexample = reference_conservation_counterexample(words[row].tolist(), image, cyclic)
-                break
-        if counterexample:
-            break
-    return ("conserve", domain, counterexample is None, counterexample)
-
-
-def reference_key_digits(key, s, length):
-    digits = []
-    for _ in range(length):
-        digits.append(int(key % s))
-        key //= s
-    return tuple(digits[::-1])
-
-
-def reference_horner(words, s):
-    keys = words[:, 0].astype(np.int64)
-    for i in range(1, words.shape[1]):
-        keys = keys * s + words[:, i]
-    return keys
-
-
-def reference_collision(first, second, image_literal):
-    return Counterexample(
-        input=f"{reference_word_literal(first, True)} and {reference_word_literal(second, True)}",
-        expected="distinct images",
-        actual=f"both step to {image_literal}",
-    )
-
-
-def reference_injectivity_counterexample(rule, n, collision_key):
-    s = rule.state_count
-    first = second = None
-    for words in reference_word_chunks(s, n):
-        images = reference_cyclic_images(rule, words)
-        keys = reference_horner(images, s)
-        hits = np.nonzero(keys == collision_key)[0]
-        for i in hits:
-            word = tuple(int(v) for v in words[i])
-            if first is None:
-                first = word
-            elif second is None and word != first:
-                second = word
-                break
-        if second is not None:
-            break
-    image = reference_word_literal(reference_key_digits(collision_key, s, n), cyclic=True)
-    return reference_collision(first, second, image)
-
-
-def reference_inject(rule, n):
-    s = rule.state_count
-    total = s**n
-    domain = f"exhaustive states={s} cycle={n} words={total}"
-    collision_key = None
-    seen = np.zeros(total, dtype=bool)
-    for words in reference_word_chunks(s, n):
-        images = reference_cyclic_images(rule, words)
-        keys = reference_horner(images, s)
-        candidates = []
-        values, counts = np.unique(keys, return_counts=True)
-        repeated = values[counts > 1]
-        if repeated.size:
-            candidates.append(int(repeated.min()))
-        prior = keys[seen[keys]]
-        if prior.size:
-            candidates.append(int(prior.min()))
-        if candidates:
-            best = min(candidates)
-            collision_key = best if collision_key is None else min(collision_key, best)
-        seen[keys] = True
-    counterexample = (
-        None if collision_key is None
-        else reference_injectivity_counterexample(rule, n, collision_key)
-    )
-    return ("inject", domain, counterexample is None, counterexample)
+from reference_oracles import fields, mutated, reference_conserve, reference_inject
 
 
 def assert_sweeps_match(rule, lengths):
