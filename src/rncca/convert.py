@@ -344,16 +344,18 @@ def _block_values(code, word):
     """The (hat, check) block of every pair in ``word``: its hat value,
     read from one (|C|, |R|) table, and the complement s - 1 - hat.  A
     cell outside the table raises the error ``phi`` gives it."""
+    s = code.state_count
     hats = {(c, r): phi(code, "hat", c, r) for c in range(code.c_size) for r in range(code.r_size)}
+    blocks = {pair: (hat, s - 1 - hat) for pair, hat in hats.items()}
     values = []
     for pair in word:
-        hat = hats.get(pair) if isinstance(pair, tuple) else None
-        if hat is None:
+        block = blocks.get(pair) if isinstance(pair, tuple) else None
+        if block is None:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError(f"cell {pair!r} is not a (c, r) pair")
             phi(code, "hat", *pair)
             raise ValueError(f"cell {pair!r} is not a (c, r) pair of integers")
-        values.append((hat, code.state_count - 1 - hat))
+        values.append(block)
     return values
 
 

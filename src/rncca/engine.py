@@ -309,14 +309,14 @@ def _canonicalize_biperiodic(cfg):
     left = _primitive_pinned(cfg.left)
     right = _primitive_pinned(cfg.right)
     nl, nr = len(left), len(right)
-    cells = list(cfg.center)
-    c0 = cfg.center_offset
-    while cells and cells[0] == left[c0 % nl]:
-        cells.pop(0)
-        c0 += 1
-    while cells and cells[-1] == right[(c0 + len(cells) - 1) % nr]:
-        cells.pop()
-    if not cells:
+    cells, c0 = cfg.center, cfg.center_offset
+    i, j = 0, len(cells)
+    while i < j and cells[i] == left[(c0 + i) % nl]:
+        i += 1
+    while i < j and cells[j - 1] == right[(c0 + j - 1) % nr]:
+        j -= 1
+    c0 += i
+    if i == j:
         if left == right:
             c0 = 0
         else:
@@ -324,7 +324,7 @@ def _canonicalize_biperiodic(cfg):
             # positions, so this walk terminates.
             while left[(c0 - 1) % nl] == right[(c0 - 1) % nr]:
                 c0 -= 1
-    return BiPeriodic(left, tuple(cells), c0, right)
+    return BiPeriodic(left, cells[i:j], c0, right)
 
 
 def canonicalize(config):

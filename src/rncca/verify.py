@@ -420,7 +420,8 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     marked.  Only a failing rule is swept again, for the collision with
     the smallest image (read as a base-s number), which it reports.
     Sampled mode reports the first draw whose image an earlier, different
-    draw already had.
+    draw already had: it maps each image drawn to the word that first
+    had it, walking the draws in order.
     """
     started = time.perf_counter()
     _check_bounds(mode, count, cycle=n)
@@ -458,37 +459,21 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     draws = _Draws(seed)
     domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
     rows = max(1, _ROW_CELLS // n)
-    # Every distinct image drawn so far, sorted, with the word that
-    # first had it; each row is one byte string, so rows sort, compare
-    # and merge as single values.
-    seen_images = seen_words = None
+    # Image row -> the first word row with it, both as byte strings.
+    seen = {}
     counterexample = None
     for first in range(0, count, rows):
         words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
         images = np.ascontiguousarray(_cyclic_images(rule, words))
-        word_rows, image_rows = _byte_rows(words), _byte_rows(images)
-        if seen_images is None:
-            seen_images, seen_words = image_rows[:0], word_rows[:0]
-        # The chunk's distinct images, the earliest row with each, and
-        # where each sits among those seen before.
-        distinct, earliest, image_of = np.unique(image_rows, return_index=True, return_inverse=True)
-        at = np.searchsorted(seen_images, distinct)
-        known = at < len(seen_images)
-        known[known] = seen_images[at[known]] == distinct[known]
-        # owners[j]: the word that first had distinct image j.
-        owners = word_rows[earliest]
-        owners[known] = seen_words[at[known]]
-        clashes = np.flatnonzero(word_rows != owners[image_of])
-        if clashes.size:
-            i = clashes[0]
-            owner = np.frombuffer(owners[image_of[i]].tobytes(), words.dtype)
-            counterexample = _collision(
-                owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
-            )
+        for i, (image, word) in enumerate(zip(_byte_rows(images).tolist(), _byte_rows(words).tolist())):
+            if seen.setdefault(image, word) != word:
+                owner = np.frombuffer(seen[image], words.dtype)
+                counterexample = _collision(
+                    owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
+                )
+                break
+        if counterexample:
             break
-        fresh = ~known
-        seen_images = np.insert(seen_images, at[fresh], distinct[fresh])
-        seen_words = np.insert(seen_words, at[fresh], owners[fresh])
     return _report(name, domain, counterexample, started)
 
 

@@ -8,8 +8,9 @@ an ``engine.Rule``, such as one over partitioned pairs.
 
 ``_canonicalize_finite`` is the finite canonicalizer ``engine`` kept
 before ``canonicalize`` read a finite configuration as a bi-periodic
-one, copied verbatim, so that finite steps are checked against a form
-found independently.
+one, and ``_canonicalize_biperiodic`` the bi-periodic one before it
+scanned the center by index instead of popping cells; both are copied
+verbatim, so that steps are checked against a form found independently.
 """
 
 from typing import Callable, NamedTuple
@@ -18,7 +19,7 @@ from rncca.engine import (
     BiPeriodic,
     Cyclic,
     Finite,
-    _canonicalize_biperiodic,
+    _primitive_pinned,
     cell_at,
     window_growth,
 )
@@ -36,6 +37,28 @@ def _canonicalize_finite(cfg):
     if not word:
         offset = 0
     return Finite(offset, tuple(word), q)
+
+
+def _canonicalize_biperiodic(cfg):
+    left = _primitive_pinned(cfg.left)
+    right = _primitive_pinned(cfg.right)
+    nl, nr = len(left), len(right)
+    cells = list(cfg.center)
+    c0 = cfg.center_offset
+    while cells and cells[0] == left[c0 % nl]:
+        cells.pop(0)
+        c0 += 1
+    while cells and cells[-1] == right[(c0 + len(cells) - 1) % nr]:
+        cells.pop()
+    if not cells:
+        if left == right:
+            c0 = 0
+        else:
+            # Distinct pinned backgrounds disagree at unboundedly many
+            # positions, so this walk terminates.
+            while left[(c0 - 1) % nl] == right[(c0 - 1) % nr]:
+                c0 -= 1
+    return BiPeriodic(left, tuple(cells), c0, right)
 
 
 class LocalRule(NamedTuple):

@@ -8,8 +8,6 @@ tolerance-based because every quantity here is an integer.
 import itertools
 import random
 
-import pytest
-
 from rncca.convert import (
     convert,
     decode,

@@ -25,6 +25,7 @@ from rncca.engine import BiPeriodic, Cyclic, Finite, make_rule, window_growth
 from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca
 from reference_oracles import (
     fields,
+    mutated,
     reached_mutation,
     reference_conserve_sampled,
     reference_inject_sampled,
@@ -156,6 +157,46 @@ def test_chunked_sweeps_match_reference(monkeypatch, row_cells):
         assert fields(report) == reference_conserve_sampled(lossy, max_support=4, count=40, seed=seed)
         report = verify.check_injective_cyclic(lossy, 3, mode="sampled", count=40, seed=seed)
         assert fields(report) == reference_inject_sampled(lossy, 3, count=40, seed=seed)
+
+
+def test_sampled_inject_finds_the_first_clash_across_chunks(monkeypatch):
+    # Chunks of a few words, so that a clash and the word that first had
+    # its image lie chunks apart.  Each report must equal the one-dict
+    # reference, and the sweep must stop at the clash's chunk.
+    chunks = []
+    cyclic_images = verify._cyclic_images
+
+    def counted(rule, words):
+        chunks.append(len(words))
+        return cyclic_images(rule, words)
+
+    monkeypatch.setattr(verify, "_cyclic_images", counted)
+
+    def sampled(rule, n, count, seed, row_cells):
+        monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)
+        chunks.clear()
+        report = verify.check_injective_cyclic(rule, n, mode="sampled", count=count, seed=seed)
+        assert fields(report) == reference_inject_sampled(rule, n, count=count, seed=seed)
+        return report, verify._Draws(seed).below(rule.state_count, count * n).reshape(-1, n).tolist()
+
+    # One changed entry of the xor table: with seed 1 the first clash is
+    # draw 2,556 (its image was first drawn at 331), in chunk 256 of 10
+    # words each.
+    rule = mutated(convert(XOR), (0, 3, 6, 3), 1)
+    report, words = sampled(rule, 4, 3000, 1, 40)
+    assert not report.passed
+    assert len(chunks) == 2556 // 10 + 1
+    assert words[331] != words[2556]
+    # Draws 0 and 2, in chunk 1, and 12 are one word, which owns its
+    # image; draw 15, a different word with that image, is the clash.
+    merge = make_rule(6, (0,), lambda a: 4 if a == 5 else a, 0)
+    report, words = sampled(merge, 2, 100, 20, 8)
+    assert [words[i] for i in (0, 2, 12, 15)] == [[5, 5], [5, 5], [5, 5], [5, 4]]
+    assert not report.passed and len(chunks) == 4
+    # The same word drawn again is no clash: the derived rule is injective.
+    report, words = sampled(convert(XOR), 2, 400, 0, 8)
+    assert report.passed and len(chunks) == 100
+    assert len(set(map(tuple, words))) < len(words)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -245,6 +245,7 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-tauprime-gaps-exhaustive.txt", ["tauprime", "--gaps", "1,3", "--steps", "6"]),
         ("verify-tauprime-k2.txt", ["tauprime", "--spacing", "2", "--support", "2", "--steps", "2"]),
         ("verify-simulate-sampled.txt", ["simulate", "--sampled", "30", "--seed", "2", "--support", "5", "--steps", "3"]),
+        ("verify-inject-sampled-pass.txt", ["inject", "--cycle", "4", "--sampled", "40000", "--seed", "1"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):

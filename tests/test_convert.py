@@ -14,10 +14,8 @@ from rncca.convert import (
     decompose,
     encode_tau,
     encode_tau_prime,
-    heavy_part,
     is_balanced_heavy,
     is_balanced_light,
-    light_part,
     phi,
     phi_inverse,
 )

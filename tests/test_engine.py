@@ -19,6 +19,7 @@ from rncca.engine import (
     window_growth,
 )
 from rncca.rpca import example_rpca
+from reference_stepper import _canonicalize_biperiodic as reference_canonicalize_biperiodic
 from reference_stepper import _canonicalize_finite as reference_canonicalize_finite
 
 
@@ -154,6 +155,45 @@ def finite_configs(draw):
 @given(finite_configs())
 def test_canonicalize_finite_matches_the_reference(cfg):
     assert canonicalize(cfg) == reference_canonicalize_finite(cfg)
+
+
+@st.composite
+def biperiodic_configs(draw):
+    """Integer or pair cells on equal or unequal backgrounds, which may
+    repeat a shorter word; the center has long runs of each background
+    at its ends (phase-aligned or not), and its middle may be empty."""
+    pairs = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    cell = pairs if draw(st.booleans()) else st.integers(0, 2)
+
+    def word():
+        return draw(st.lists(cell, min_size=1, max_size=3)) * draw(st.integers(1, 3))
+
+    left = word()
+    right = left if draw(st.booleans()) else word()
+    c0 = draw(st.integers(-50, 50))
+    head = draw(st.integers(0, 40))
+    middle = draw(st.lists(cell, max_size=6))
+    tail = draw(st.integers(0, 40))
+    phase = draw(st.integers(0, 1))
+    center = [left[(c0 + x + phase) % len(left)] for x in range(head)] + middle
+    end = c0 + len(center)
+    center += [right[(end + x + phase) % len(right)] for x in range(tail)]
+    return BiPeriodic(left, center, c0, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(biperiodic_configs())
+def test_canonicalize_biperiodic_matches_the_reference(cfg):
+    assert canonicalize(cfg) == reference_canonicalize_biperiodic(cfg)
+
+
+def test_canonicalize_long_background_run_matches_the_reference():
+    # A run of 40,000 background cells before the one live cell; only
+    # equality is asserted, not timing.
+    cfg = Finite(0, [0] * 40_000 + [1], 0)
+    assert canonicalize(cfg) == reference_canonicalize_finite(cfg)
+    bi = BiPeriodic((0,), cfg.word, 0, (0,))
+    assert canonicalize(bi) == reference_canonicalize_biperiodic(bi)
 
 
 def test_canonicalize_biperiodic_shrinks_center():

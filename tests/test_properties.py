@@ -1,7 +1,5 @@
 """Property tests over randomized configurations and code sizes."""
 
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

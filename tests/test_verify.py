@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 import rncca.verify as verify
-from rncca.convert import ParticleCode, convert, encode_tau
+from rncca.convert import convert, encode_tau
 from rncca.engine import Cyclic, Finite, make_rule, run
-from rncca.rpca import QUIESCENT_PAIR, example_rpca, make_rpca
+from rncca.rpca import QUIESCENT_PAIR, example_rpca
 from rncca.verify import (
     check_injective_cyclic,
     check_number_conserving,
