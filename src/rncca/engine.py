@@ -16,7 +16,9 @@ Every shape is read through one layout, ``_parts``: a finite
 configuration is the bi-periodic one on the background ``(q,)``, and a
 cyclic word the one with an empty center between two copies of the
 word.  Windows, checks, canonical forms and the padded rows all read
-that layout; only stepping keeps a cyclic word as a ring.
+that layout; only stepping keeps a cyclic word as a ring.  One builder,
+``_canonical``, gives the canonical form of that layout for
+``canonicalize`` and for every stepped finite or bi-periodic row.
 
 Stepping any shape returns the canonical form of the image, so stepped
 configurations compare with plain ``==``.  Cell values are the integers
@@ -305,15 +307,18 @@ def _primitive_pinned(word):
     return word
 
 
-def _canonicalize_biperiodic(cfg):
-    left = _primitive_pinned(cfg.left)
-    right = _primitive_pinned(cfg.right)
+def _canonical(shape, left, center, c0, right):
+    """The canonical ``shape`` (``Finite`` or ``BiPeriodic``) of the
+    layout ``(left, center, c0, right)`` on the primitive pinned
+    backgrounds ``left`` and ``right``: a center that keeps no cell equal
+    to the phase-aligned background at either end, and an empty center
+    at offset 0 between equal backgrounds, at the leftmost valid boundary
+    otherwise.  A finite configuration's quiescent cell is ``left[0]``."""
     nl, nr = len(left), len(right)
-    cells, c0 = cfg.center, cfg.center_offset
-    i, j = 0, len(cells)
-    while i < j and cells[i] == left[(c0 + i) % nl]:
+    i, j = 0, len(center)
+    while i < j and center[i] == left[(c0 + i) % nl]:
         i += 1
-    while i < j and cells[j - 1] == right[(c0 + j - 1) % nr]:
+    while i < j and center[j - 1] == right[(c0 + j - 1) % nr]:
         j -= 1
     c0 += i
     if i == j:
@@ -324,25 +329,24 @@ def _canonicalize_biperiodic(cfg):
             # positions, so this walk terminates.
             while left[(c0 - 1) % nl] == right[(c0 - 1) % nr]:
                 c0 -= 1
-    return BiPeriodic(left, cells[i:j], c0, right)
+    if shape is Finite:
+        return Finite(c0, center[i:j], left[0])
+    return BiPeriodic(left, center[i:j], c0, right)
 
 
 def canonicalize(config):
     """Return the unique canonical form of a configuration.
 
-    Cyclic: stored as given.  BiPeriodic: background words reduced to
-    their shortest pinned period, a center that keeps no cell equal to
-    the phase-aligned background, and an empty center normalized (offset
-    0 between equal backgrounds, leftmost valid boundary otherwise).
-    Finite: the same form of its ``_parts``, read back, so no quiescent
-    cells at either end of the word (the empty word sits at offset 0).
+    Cyclic: stored as given.  Otherwise ``_canonical`` of its ``_parts``
+    with each background reduced to its shortest pinned period: a
+    bi-periodic center keeps no cell equal to the phase-aligned
+    background, and a finite word no quiescent cell at either end (the
+    empty word sits at offset 0).
     """
     if isinstance(config, Cyclic):
         return config
-    canonical = _canonicalize_biperiodic(BiPeriodic(*_parts(config)))
-    if isinstance(config, Finite):
-        return Finite(canonical.center_offset, canonical.center, config.quiescent)
-    return canonical
+    left, center, c0, right = _parts(config)
+    return _canonical(type(config), _primitive_pinned(left), center, c0, _primitive_pinned(right))
 
 
 def configs_equal(a, b):
@@ -478,7 +482,10 @@ def _run_rows(rule, cfg, steps):
     cone of ``steps`` plus one background period per side; each step
     then loses (max - min offset) cells, and at every t the row still
     holds the whole center with at least one background period beyond
-    it on each side, from which the stepped backgrounds are read.
+    it on each side.  Every shape then reads its row alike: the row's
+    end periods give both stepped backgrounds (a finite row's quiescent
+    cell too), and ``_canonical`` builds the configuration from them
+    and the center between.
     """
     nb = rule.neighborhood
     batch = _batch_of(rule)
@@ -498,18 +505,25 @@ def _run_rows(rule, cfg, steps):
     wl, wr = window_growth(nb)
     start = c0 - nl - (wl - lo) * steps
     row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
-    primitive, tiles = {}, {}
+    shape, primitive = type(cfg), {}
     out, rows = [], [(start, row)]
     for _ in range(steps):
         row = _shrink_step(batch, nb, row)
         start -= lo
         rows.append((start, row))
-        if isinstance(cfg, Finite):
-            out.append(_finite_from_row(row, start, cfg.quiescent))
-            continue
+        # The row opens with one period of the left background and closes
+        # with one of the right: a cell is off a background where it first
+        # differs from the cell one period further in.
+        n = len(row)
+        off_left = row[nl:] != row[: n - nl]
+        off_right = off_left if nl == nr else row[: n - nr] != row[nr:]
+        i = int(off_left.argmax())
+        i = i + nl if off_left[i] else n
+        j = n - nr - int(off_right[::-1].argmax())
+        j = j if off_right[j - 1] else 0
         left = _background(row[:nl], start, primitive)
-        right = _background(row[-nr:], start + len(row) - nr, primitive)
-        out.append(_biperiodic_from_row(row, start, left, right, tiles))
+        right = _background(row[-nr:], start + n - nr, primitive)
+        out.append(_canonical(shape, left, tuple(row[i:j].tolist()), start + i, right))
     return out, rows
 
 
@@ -523,34 +537,3 @@ def _background(cells, x0, primitive):
     if word not in primitive:
         primitive[word] = _primitive_pinned(word)
     return primitive[word]
-
-
-def _finite_from_row(row, start, q):
-    live = np.flatnonzero(row != q)
-    if not live.size:
-        return Finite(0, (), q)
-    i, j = int(live[0]), int(live[-1]) + 1
-    return Finite(start + i, tuple(row[i:j].tolist()), q)
-
-
-def _biperiodic_from_row(row, start, left, right, tiles):
-    """Canonical form of a row whose cells left of the center follow the
-    pinned word ``left`` and those right of it ``right``.  ``tiles``
-    caches each word repeated over at least one period past the row, so
-    the background under the row is one slice."""
-    n = len(row)
-    off_left = row != _tile(left, n, tiles)[start % len(left) :][:n]
-    off_right = row != _tile(right, n, tiles)[start % len(right) :][:n]
-    i = int(off_left.argmax()) if off_left.any() else n
-    j = n - int(off_right[::-1].argmax()) if off_right.any() else 0
-    if i < j:
-        return BiPeriodic(left, tuple(row[i:j].tolist()), start + i, right)
-    # Empty center: every cell from start + i on follows ``right``.
-    return _canonicalize_biperiodic(BiPeriodic(left, (), start + i, right))
-
-
-def _tile(word, n, tiles):
-    tile = tiles.get(word)
-    if tile is None or len(tile) < n + len(word):
-        tile = tiles[word] = np.array(word * (n // len(word) + 2), dtype=np.intp)
-    return tile

@@ -163,12 +163,7 @@ def _validate_config(p, config):
         raise ValueError("partitioned configurations use quiescent pair (0, 0)")
     for word in words:
         for cell in word:
-            if (
-                not isinstance(cell, tuple)
-                or len(cell) != 2
-                or not (0 <= cell[0] < p.c_size)
-                or not (0 <= cell[1] < p.r_size)
-            ):
+            if not (isinstance(cell, tuple) and cell in p._codes):
                 raise ValueError(f"cell {cell!r} is not a pair in {p.c_size}x{p.r_size}")
 
 

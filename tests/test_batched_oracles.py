@@ -108,6 +108,54 @@ def test_wrong_derived_rule_reports_match(monkeypatch):
         assert fields(report) == reference_tauprime(swap, convert(XOR), k, **kwargs)
 
 
+def cellwise(images):
+    """The |C| x 1 table that maps each pair (c, 0) to (images[c], 0)."""
+    return make_rpca(len(images), 1, {(c, 0): (image, 0) for c, image in enumerate(images)})
+
+
+@pytest.mark.parametrize(
+    "source, derived_from, kwargs, expected",
+    [
+        # Swapping c = 1 and 2 undoes itself: the derived rule of the
+        # swap tracks the identity at period 6, never at 3.
+        (
+            example_rpca("identity", 3, 1),
+            cellwise((0, 2, 1)),
+            dict(max_support=2, steps=2),
+            (
+                "exhaustive pairs=3x1 k=3 support<=2 steps=2 period=6",
+                verify.Counterexample(
+                    input="period search over 1..12",
+                    expected="simulation period 3",
+                    actual="smallest working period 6",
+                ),
+            ),
+        ),
+        # The start (1, 0) leaves only period 9, which misses (2, 0); k = 3
+        # steps match (2, 0), so the report names no step t.
+        (
+            cellwise((0, 1, 3, 2)),
+            cellwise((0, 2, 3, 1)),
+            dict(max_support=1, steps=1),
+            (
+                "exhaustive pairs=4x1 k=3 support<=1 steps=1 period=None",
+                verify.Counterexample(
+                    input="finite q#=(0,0) @0: (2,0)",
+                    expected="one period q <= 12 working for every start",
+                    actual="no candidate period survives this start",
+                ),
+            ),
+        ),
+    ],
+)
+def test_tauprime_period_verdicts_match_reference(monkeypatch, source, derived_from, kwargs, expected):
+    rule = convert(derived_from)
+    monkeypatch.setattr(verify, "convert", lambda p: rule)
+    report = verify.check_tau_prime_correspondence(source, k=3, mode="exhaustive", **kwargs)
+    assert (report.domain, report.counterexample) == expected
+    assert fields(report) == reference_tauprime(source, rule, 3, mode="exhaustive", **kwargs)
+
+
 @pytest.mark.parametrize("name, sizes", [("xor", (2, 2)), ("random", (2, 3))])
 def test_mutated_table_reports_match(monkeypatch, name, sizes):
     # The seeded draws include failures at a later start and at a later t.

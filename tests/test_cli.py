@@ -189,6 +189,44 @@ def test_run_rejects_table_free_ncca(tmp_path, xor_rule, capsys):
     assert "dump-table" in capsys.readouterr().err
 
 
+NOT_CONVERTIBLE = "rule is not reversible; conversion is undefined"
+BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
+
+
+@pytest.mark.parametrize(
+    "args, status, error",
+    [
+        (["run", "{constant}", "{golden}/finite.cfg", "--steps", "2"], 2, NOT_CONVERTIBLE),
+        (
+            ["run", "{headless}", "{golden}/finite.cfg", "--steps", "2"],
+            2,
+            "rule file must start with an 'rpca' or 'ncca' header",
+        ),
+        (
+            ["convert", "{golden}/rule.rpca", "--dump-table"],
+            2,
+            "refusing to dump 5308416 transitions; the rule stays computed",
+        ),
+        # A non-reversible rule exits 1 under simulate and tauprime, but 2
+        # under conserve, inject and run, whose rule loader refuses it.
+        (["verify", "{constant}", "simulate"], 1, "rule is not reversible"),
+        (["verify", "{constant}", "tauprime"], 1, "rule is not reversible"),
+        (["verify", "{constant}", "conserve"], 2, NOT_CONVERTIBLE),
+        (["verify", "{constant}", "inject"], 2, NOT_CONVERTIBLE),
+        (["embed", "{golden}/rule.rpca", "{golden}/source.cfg", "--gaps", "1,x"], 2, BAD_GAPS),
+        (["verify", "{golden}/rule.rpca", "tauprime", "--gaps", "1,x"], 2, BAD_GAPS),
+    ],
+)
+def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error):
+    constant = tmp_path / "constant.rpca"
+    constant.write_text(CONSTANT_TEXT)
+    headless = tmp_path / "headless.txt"
+    headless.write_text("# no header\n0 0 -> 0 0\n")
+    paths = dict(constant=constant, headless=headless, golden=GOLDEN)
+    assert main([arg.format(**paths) for arg in args]) == status
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_verify_simulate_passes(xor_rule, capsys):
     assert main([
         "verify", xor_rule, "simulate", "--support", "3", "--steps", "4",
@@ -271,6 +309,7 @@ def test_convert_balanced_pairs_match_golden(capsys):
         ("run-window.txt", "embed-tau.cfg", ["--steps", "12", "--window", "-60", "90"]),
         ("run-ring-window.txt", "embed-ring.cfg", ["--steps", "9", "--window", "-40", "70"]),
         ("run-finite.txt", "finite.cfg", ["--steps", "10"]),
+        ("run-biperiodic.txt", "biperiodic.cfg", ["--steps", "10", "--window", "-60", "90"]),
     ],
 )
 def test_run_matches_golden_diagrams(capsys, golden, config, args):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,18 @@ def test_quiescent_stability():
 def test_step_rejects_bad_cells():
     with pytest.raises(ValueError):
         step_rpca(XOR, Finite(0, [(2, 0)], QUIESCENT_PAIR))
+
+
+@pytest.mark.parametrize("step", [lambda c: step_rpca(XOR, c), invert_rpca(XOR).step_back])
+def test_steps_refuse_non_integer_parts_and_accept_integral_ones(step):
+    for cell in [(0.5, 0), (0, 1.5), (2, 0), (0, -1), (0, 0, 0), [1, 0]]:
+        for config in (Finite(0, [cell], QUIESCENT_PAIR), Cyclic([(0, 0), cell])):
+            with pytest.raises(ValueError) as exc:
+                step(config)
+            assert str(exc.value) == f"cell {cell!r} is not a pair in 2x2"
+    expected = step(Finite(0, [(1, 0)], QUIESCENT_PAIR))
+    for cell in [(1.0, 0), (True, 0), (np.int64(1), np.int8(0))]:
+        assert step(Finite(0, [cell], QUIESCENT_PAIR)) == expected
 
 
 def test_invert_round_trips_all_small_supports():

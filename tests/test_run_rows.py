@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rncca.convert import convert
-from rncca.engine import BiPeriodic, Cyclic, Finite, canonicalize, make_rule, run, step
+from rncca.engine import BiPeriodic, Cyclic, Finite, Rule, canonicalize, make_rule, run, step
 from rncca.rpca import example_rpca
 from reference_stepper import reference_step
 
@@ -40,6 +40,8 @@ RULES = [
     random_table_rule(3, (-1, 0, 1), seed=2),
     random_table_rule(3, (1, 2), seed=3),
     random_callable_rule(3, (-2, 0), seed=4),
+    random_table_rule(3, (-3, -1), seed=5),
+    random_table_rule(3, (2,), seed=6),
 ]
 
 
@@ -67,7 +69,7 @@ def configurations(draw, states):
 def test_run_equals_iterated_step(data):
     rule = data.draw(st.sampled_from(RULES))
     config = data.draw(configurations(rule.state_count))
-    steps = data.draw(st.integers(0, 6))
+    steps = data.draw(st.integers(0, 12))
     configs = run(rule, config, steps).configs
     assert len(configs) == steps + 1
     assert configs[0] == canonicalize(config)
@@ -107,3 +109,27 @@ def test_run_rejects_mismatched_quiescent_background_like_step(rule):
     with pytest.raises(ValueError) as from_run:
         run(rule, config, 3)
     assert str(from_run.value) == str(from_step.value)
+
+
+@pytest.mark.parametrize(
+    "rule, start, expected",
+    [
+        (
+            Rule(3, (0,), lambda a: (a + 1) % 3, 0, lambda cols: (cols[0] + 1) % 3),
+            Finite(0, (2,), 0),
+            [Finite(0, (0,), 1), Finite(0, (1,), 2), Finite(0, (2,), 0)],
+        ),
+        (
+            Rule(3, (-1, 0), lambda a, b: (a + b + 1) % 3, 0, lambda cols: (cols[0] + cols[1] + 1) % 3),
+            Finite(0, (2, 1), 0),
+            [Finite(0, (0, 1, 2), 1), Finite(0, (2, 2, 1, 1), 0)],
+        ),
+    ],
+)
+def test_finite_rows_step_a_moving_quiescent_state(rule, start, expected):
+    # make_rule refuses these rules, Rule does not: each step's image has
+    # the quiescent state the rule makes of the all-quiescent
+    # neighborhood.  reference_step keeps the start's quiescent state, so
+    # the images are written out.
+    assert step(rule, start) == expected[0]
+    assert run(rule, start, len(expected)).configs == (start, *expected)
