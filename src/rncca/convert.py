@@ -235,13 +235,18 @@ def convert(p):
     table = _reduced_table(code, p)
     flat = table.reshape(-1)
     cells = memoryview(flat)
+    # Each cell's share of the table index, by state: int32 holds every
+    # index below _TABLE_LIMIT.
+    q = np.arange(s, dtype=np.int32)
+    ta, tb, tc, td = q % two_r * (s * s * two_c), q * (s * two_c), q * two_c, q // two_r
 
     def local(qm2, qm1, q0, q1):
         return cells[((qm2 % two_r * s + qm1) * s + q0) * two_c + q1 // two_r]
 
     def local_batch(cols):
-        a, b, c, d = (np.asarray(col, dtype=np.intp) for col in cols)
-        return flat[(((a % two_r) * s + b) * s + c) * two_c + d // two_r]
+        a, b, c, d = cols
+        # Summed, not added in place: the columns may broadcast.
+        return flat.take(ta.take(a) + tb.take(b) + tc.take(c) + td.take(d))
 
     return NccaRule(
         state_count=s,

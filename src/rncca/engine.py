@@ -26,6 +26,9 @@ configurations compare with plain ``==``.  Cell values are the integers
 ``rpca``).  Every step goes through one row stepper: a configuration is
 laid out as a numpy row, each neighborhood offset is a shifted slice of
 it, and the rule's batch evaluator computes the whole image at once.
+``run`` keeps its trajectory as those rows: a configuration is built
+from its row only when ``Trajectory.configs`` is first read, and
+``window_matrix`` reads windows from the rows alone.
 """
 
 from __future__ import annotations
@@ -129,15 +132,29 @@ class Trajectory:
     ``rows`` is None, or what ``run`` stepped as numpy rows: per t, a
     pair ``(x0, cells)`` whose integer array ``cells`` holds the cells
     of ``configs[t]`` at x0, x0 + 1, ...  A cyclic row is the word at
-    x0 = 0; a finite or bi-periodic row covers the whole center and at
-    least one background period beyond it on each side, so the cells
-    beyond the row follow the configuration's backgrounds.  ``rows``
-    takes no part in ``==``, ``hash`` or ``repr``.
+    x0 = 0; a finite or bi-periodic row covers the whole center, opens
+    with one period of the left background and closes with one of the
+    right, at the periods of ``_start``, the start they were stepped
+    from.  ``run`` keeps only these two: ``configs`` is built from them
+    when first read, then kept.  Neither takes part in ``==``, ``hash``
+    or ``repr``.
     """
 
     rule: Rule
     configs: tuple
     rows: tuple | None = field(default=None, compare=False, repr=False)
+    _start: object = field(default=None, compare=False, repr=False)
+
+    def __getattr__(self, name):
+        # Reached only for a missing attribute: ``configs`` of a
+        # trajectory that ``run`` built, while it is not yet read.
+        start = self._start
+        if name != "configs" or start is None:
+            raise AttributeError(f"'Trajectory' object has no attribute {name!r}")
+        primitive = {}
+        configs = (canonicalize(start), *(_row_config(start, x0, cells, primitive) for x0, cells in self.rows[1:]))
+        object.__setattr__(self, "configs", configs)
+        return configs
 
 
 def make_rule(state_count, neighborhood, local_map, quiescent):
@@ -364,7 +381,12 @@ def _check_config(rule, cfg):
     if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
         raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
-    for value in itertools.chain.from_iterable(words):
+    cells = tuple(itertools.chain.from_iterable(words))
+    # Plain ints in range are checked in C; otherwise the loop finds the
+    # first cell that is not a state.
+    if set(map(type, cells)) <= {int} and 0 <= min(cells, default=0) and max(cells, default=0) < s:
+        return
+    for value in cells:
         if not (isinstance(value, int) and 0 <= value < s):
             raise ValueError(f"state {value!r} out of range for {s} states")
 
@@ -403,22 +425,23 @@ def step(rule, config):
     global map) while the center is recomputed over a widened window.
     """
     _check_config(rule, config)
-    return _run_rows(rule, config, 1)[0][0]
+    return _row_config(config, *_run_rows(rule, config, 1)[1], {})
 
 
 def run(rule, config, steps):
     """Step ``config`` repeatedly, returning a Trajectory of length steps + 1.
 
-    Whole rows step as numpy arrays, kept as the trajectory's ``rows``;
-    the configurations equal iterated ``step``.
+    Whole rows step as numpy arrays and are kept as the trajectory's
+    ``rows``; its configurations, the canonical start and iterated
+    ``step``, are built from them when first read.
     """
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
-    start = canonicalize(config)
     # Refused as ``step`` would refuse it, even when it is not stepped.
-    _check_config(rule, start)
-    stepped, rows = _run_rows(rule, start, steps)
-    return Trajectory(rule, (start, *stepped), tuple(rows))
+    _check_config(rule, config)
+    trajectory = object.__new__(Trajectory)
+    vars(trajectory).update(rule=rule, rows=tuple(_run_rows(rule, config, steps)), _start=config)
+    return trajectory
 
 
 def window_cells(config, x_min, x_max):
@@ -437,20 +460,24 @@ def window_cells(config, x_min, x_max):
 
 def window_matrix(trajectory, x_min, x_max):
     """``window_cells`` of every configuration of a trajectory that
-    ``run`` stepped as rows, as one integer matrix: row t, column
-    x - x_min.  Read from ``trajectory.rows``, and beyond a stored row
-    from the configuration's pinned backgrounds."""
-    width = x_max - x_min + 1
+    ``run`` stepped, as one integer matrix: row t, column x - x_min.
+    Read from ``trajectory.rows`` alone: a cell before a row repeats the
+    row's first ``nl`` cells and one after it the last ``nr``, the
+    background periods of the start (a cyclic row is read as x % n)."""
+    left, _, _, right = _parts(trajectory._start)
+    nl, nr = len(left), len(right)
+    xs = np.arange(x_min, x_max + 1)
+    width = len(xs)
     matrix = np.empty((len(trajectory.rows), width), dtype=np.intp)
-    for out, (x0, cells), cfg in zip(matrix, trajectory.rows, trajectory.configs):
-        left, _, _, right = _parts(cfg)
+    for out, (x0, cells) in zip(matrix, trajectory.rows):
+        n = len(cells)
         a = min(max(x0 - x_min, 0), width)
-        b = min(max(x0 + len(cells) - x_min, a), width)
+        b = min(max(x0 + n - x_min, a), width)
         out[a:b] = cells[x_min + a - x0 : x_min + b - x0]
         if a:
-            out[:a] = _pinned_cells(left, x_min, x_min + a)
+            out[:a] = cells[(xs[:a] - x0) % nl]
         if b < width:
-            out[b:] = _pinned_cells(right, x_min + b, x_max + 1)
+            out[b:] = cells[(xs[b:] - x0 - n) % nr - nr]
     return matrix
 
 
@@ -474,18 +501,14 @@ def _shrink_step(batch, nb, rows):
 
 
 def _run_rows(rule, cfg, steps):
-    """The canonical configurations at t = 1..steps, stepped as numpy
-    rows, and the ``Trajectory.rows`` of t = 0..steps.
+    """The ``Trajectory.rows`` of t = 0..steps, stepped as numpy rows.
 
     Cyclic words step as rings, padded by their wrapped cells with one
     gather per step.  Otherwise the start is padded once to the light
     cone of ``steps`` plus one background period per side; each step
     then loses (max - min offset) cells, and at every t the row still
-    holds the whole center with at least one background period beyond
-    it on each side.  Every shape then reads its row alike: the row's
-    end periods give both stepped backgrounds (a finite row's quiescent
-    cell too), and ``_canonical`` builds the configuration from them
-    and the center between.
+    holds the whole center with one period of each stepped background
+    at its ends, as ``_row_config`` and ``window_matrix`` read it.
     """
     nb = rule.neighborhood
     batch = _batch_of(rule)
@@ -494,37 +517,45 @@ def _run_rows(rule, cfg, steps):
         row = np.array(cfg.word, dtype=np.intp)
         n = len(row)
         ring = np.arange(lo, n + hi) % n
-        out, rows = [], [(0, row)]
+        rows = [(0, row)]
         for _ in range(steps):
             row = _shrink_step(batch, nb, row[ring])
-            out.append(Cyclic(tuple(row.tolist())))
             rows.append((0, row))
-        return out, rows
+        return rows
     left, center, c0, right = _parts(cfg)
     c1, nl, nr = c0 + len(center), len(left), len(right)
     wl, wr = window_growth(nb)
     start = c0 - nl - (wl - lo) * steps
     row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
-    shape, primitive = type(cfg), {}
-    out, rows = [], [(start, row)]
+    rows = [(start, row)]
     for _ in range(steps):
         row = _shrink_step(batch, nb, row)
         start -= lo
         rows.append((start, row))
-        # The row opens with one period of the left background and closes
-        # with one of the right: a cell is off a background where it first
-        # differs from the cell one period further in.
-        n = len(row)
-        off_left = row[nl:] != row[: n - nl]
-        off_right = off_left if nl == nr else row[: n - nr] != row[nr:]
-        i = int(off_left.argmax())
-        i = i + nl if off_left[i] else n
-        j = n - nr - int(off_right[::-1].argmax())
-        j = j if off_right[j - 1] else 0
-        left = _background(row[:nl], start, primitive)
-        right = _background(row[-nr:], start + n - nr, primitive)
-        out.append(_canonical(shape, left, tuple(row[i:j].tolist()), start + i, right))
-    return out, rows
+    return rows
+
+
+def _row_config(cfg, x0, cells, primitive):
+    """The canonical configuration of the row ``(x0, cells)`` that
+    ``_run_rows`` stepped from ``cfg``: a cyclic word, or ``_canonical``
+    of the backgrounds at the row's ends (a finite row's quiescent cell
+    too) and the center between.  ``primitive`` is ``_background``'s."""
+    if isinstance(cfg, Cyclic):
+        return Cyclic(tuple(cells.tolist()))
+    left, _, _, right = _parts(cfg)
+    nl, nr, n = len(left), len(right), len(cells)
+    # The row opens with one period of the left background and closes
+    # with one of the right: a cell is off a background where it first
+    # differs from the cell one period further in.
+    off_left = cells[nl:] != cells[: n - nl]
+    off_right = off_left if nl == nr else cells[: n - nr] != cells[nr:]
+    i = int(off_left.argmax())
+    i = i + nl if off_left[i] else n
+    j = n - nr - int(off_right[::-1].argmax())
+    j = j if off_right[j - 1] else 0
+    left = _background(cells[:nl], x0, primitive)
+    right = _background(cells[-nr:], x0 + n - nr, primitive)
+    return _canonical(type(cfg), left, tuple(cells[i:j].tolist()), x0 + i, right)
 
 
 def _background(cells, x0, primitive):

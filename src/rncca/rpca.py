@@ -163,7 +163,11 @@ def _validate_config(p, config):
         raise ValueError("partitioned configurations use quiescent pair (0, 0)")
     for word in words:
         for cell in word:
-            if not (isinstance(cell, tuple) and cell in p._codes):
+            try:
+                known = isinstance(cell, tuple) and cell in p._codes
+            except TypeError:  # a part that cannot be hashed
+                known = False
+            if not known:
                 raise ValueError(f"cell {cell!r} is not a pair in {p.c_size}x{p.r_size}")
 
 

@@ -847,21 +847,40 @@ def mass_ledger(code, trajectory, window=None):
     """Tabulate heavy/light mass sums along a trajectory.
 
     The window should be aligned to block boundaries and sit in
-    quiescent background at both ends at t = 0.
+    quiescent background at both ends at t = 0.  A trajectory that
+    ``engine.run`` stepped is read from its rows through
+    ``engine.window_matrix``, so no configuration is built.
     """
-    configs = trajectory.configs if isinstance(trajectory, Trajectory) else tuple(trajectory)
+    stepped = isinstance(trajectory, Trajectory) and trajectory.rows is not None
+    if stepped:
+        # ``configs[0]``, without building the others.
+        first = engine.canonicalize(trajectory._start)
+    else:
+        configs = trajectory.configs if isinstance(trajectory, Trajectory) else tuple(trajectory)
+        first = configs[0]
     if window is None:
-        window = _aligned_window(configs[0])
+        window = _aligned_window(first)
     a, b = window
     width = max(b - a + 1, 0)
+    # Per t: whether the cells are a whole ring, and the cells, which
+    # otherwise run from a to at least b + t: the heavy window and the
+    # light one, t cells on.
+    if not stepped:
+        lines = [
+            (True, cfg.word) if isinstance(cfg, Cyclic) else (False, engine.window_cells(cfg, a, b + t))
+            for t, cfg in enumerate(configs)
+        ]
+    elif isinstance(first, Cyclic):
+        lines = [(True, cells) for _, cells in trajectory.rows]
+    else:
+        matrix = engine.window_matrix(trajectory, a, a + width + len(trajectory.rows) - 2)
+        lines = [(False, cells) for cells in matrix]
     rows = []
-    for t, cfg in enumerate(configs):
-        # Cells a .. b + t hold the heavy window and the light one, t cells on.
-        cells = cfg.word if isinstance(cfg, Cyclic) else engine.window_cells(cfg, a, b + t)
+    for t, (ring, cells) in enumerate(lines):
         row = np.fromiter(cells, dtype=np.int64, count=len(cells))
         light = row % code.light_modulus
         heavy = row - light
-        if not isinstance(cfg, Cyclic):
+        if not ring:
             heavy, light = heavy[:width], light[t : t + width]
         rows.append((t, int(heavy.sum()), int(light.sum())))
     return MassLedger((a, b), tuple(rows))

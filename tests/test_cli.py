@@ -310,6 +310,11 @@ def test_convert_balanced_pairs_match_golden(capsys):
         ("run-ring-window.txt", "embed-ring.cfg", ["--steps", "9", "--window", "-40", "70"]),
         ("run-finite.txt", "finite.cfg", ["--steps", "10"]),
         ("run-biperiodic.txt", "biperiodic.cfg", ["--steps", "10", "--window", "-60", "90"]),
+        # Windows wholly left or right of every stepped row.
+        ("run-finite-left.txt", "finite.cfg", ["--steps", "10", "--window", "-75", "-41"]),
+        ("run-finite-right.txt", "finite.cfg", ["--steps", "10", "--window", "41", "70"]),
+        ("run-biperiodic-left.txt", "biperiodic.cfg", ["--steps", "10", "--window", "-71", "-37"]),
+        ("run-biperiodic-right.txt", "biperiodic.cfg", ["--steps", "10", "--window", "43", "77"]),
     ],
 )
 def test_run_matches_golden_diagrams(capsys, golden, config, args):

@@ -89,6 +89,20 @@ def test_steps_refuse_non_integer_parts_and_accept_integral_ones(step):
         assert step(Finite(0, [cell], QUIESCENT_PAIR)) == expected
 
 
+@pytest.mark.parametrize("step", [lambda c: step_rpca(XOR, c), invert_rpca(XOR).step_back])
+@pytest.mark.parametrize("cell", [([0], 0), (np.array(1), 0), (0, {0: 0})])
+def test_steps_refuse_unhashable_parts(step, cell):
+    starts = (
+        Finite(0, [cell], QUIESCENT_PAIR),
+        Cyclic([(0, 0), cell]),
+        BiPeriodic([(0, 0)], [cell], 0, [(1, 0)]),
+    )
+    for config in starts:
+        with pytest.raises(ValueError) as exc:
+            step(config)
+        assert str(exc.value) == f"cell {cell!r} is not a pair in 2x2"
+
+
 def test_invert_round_trips_all_small_supports():
     back = invert_rpca(XOR)
     for word in all_pair_words(XOR, 4):

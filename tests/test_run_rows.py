@@ -5,15 +5,22 @@ rules with a ``local_batch`` and callables without one."""
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncca.convert import convert
+from rncca import engine, verify
+from rncca.cli import main
+from rncca.convert import convert, encode_tau_prime
 from rncca.engine import BiPeriodic, Cyclic, Finite, Rule, canonicalize, make_rule, run, step
-from rncca.rpca import example_rpca
+from rncca.rpca import QUIESCENT_PAIR, example_rpca
+from reference_oracles import reference_ledger_is_constant
 from reference_stepper import reference_step
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def random_table(states, neighborhood, seed):
@@ -133,3 +140,112 @@ def test_finite_rows_step_a_moving_quiescent_state(rule, start, expected):
     # the images are written out.
     assert step(rule, start) == expected[0]
     assert run(rule, start, len(expected)).configs == (start, *expected)
+
+
+@pytest.mark.parametrize("rule", RULES[:2] + RULES[4:6])
+@pytest.mark.parametrize(
+    "start",
+    [
+        Finite(-3, [0, 1, 0, 2, 0], 0),
+        Cyclic([1, 0, 2, 2, 1]),
+        # Background periods 2 and 3, one of them not primitive.
+        BiPeriodic([1, 0], [2, 1], 1, [0, 2, 1]),
+        BiPeriodic([2, 2], [0, 1, 0], -2, [1, 0, 1, 0]),
+        BiPeriodic([1], [], 4, [1, 2, 0]),
+    ],
+)
+def test_configs_are_built_from_the_rows_when_first_read(rule, start):
+    trajectory = run(rule, start, 9)
+    assert "configs" not in vars(trajectory)
+    configs = trajectory.configs
+    assert isinstance(configs, tuple) and trajectory.configs is configs
+    expected = [canonicalize(start)]
+    for _ in range(9):
+        expected.append(reference_step(rule, expected[-1]))
+    assert configs == tuple(expected)
+    # Equal to a trajectory built from its configurations.
+    assert trajectory == engine.Trajectory(rule, configs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_step_is_the_first_step_of_run(data):
+    rule = data.draw(st.sampled_from(RULES))
+    config = data.draw(configurations(rule.state_count))
+    assert step(rule, config) == run(rule, config, 1).configs[1]
+
+
+@pytest.mark.parametrize(
+    "config, args",
+    [
+        ("embed-tau.cfg", ["--steps", "12", "--format", "csv"]),
+        ("embed-ring.cfg", ["--steps", "9", "--window", "-40", "70"]),
+        ("finite.cfg", ["--steps", "10", "--window", "-75", "-41"]),
+        ("biperiodic.cfg", ["--steps", "10", "--window", "-60", "90"]),
+    ],
+)
+def test_cli_run_builds_no_configuration(monkeypatch, capsys, config, args):
+    def refuse(*_):
+        raise AssertionError("a configuration was built")
+
+    monkeypatch.setattr(engine, "_canonical", refuse)
+    assert main(["run", str(GOLDEN / "rule.rpca"), str(GOLDEN / config), *args]) == 0
+    assert capsys.readouterr().out
+
+
+def test_ledger_reads_the_rows_and_builds_no_configuration():
+    p = example_rpca("random", 2, 3, seed=1)
+    rule = convert(p)
+    word = [(1, 2), (0, 1), (1, 0)]
+    for gaps in ([1, 3], [2, 2]):
+        trajectory = engine.run(rule, encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps), 6)
+        result = verify.ledger_is_constant(rule.code, trajectory)
+        assert "configs" not in vars(trajectory)
+        assert result == reference_ledger_is_constant(rule.code, trajectory)
+
+
+def xor_hoods():
+    return np.array(list(itertools.product(range(16), repeat=4)))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+def test_local_batch_equals_local_on_every_xor_neighborhood(dtype):
+    rule = convert(example_rpca("xor"))
+    hoods = xor_hoods()
+    images = rule.local_batch(list(hoods.T.astype(dtype)))
+    assert images.tolist() == [rule.local(*hood) for hood in hoods.tolist()]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+def test_local_batch_broadcasts_grid_columns_of_a_96_state_rule(dtype):
+    rule = convert(example_rpca("random", 4, 6, seed=3))
+    rng = np.random.default_rng(5)
+    # Columns along different axes of one grid, as the sweeps pass them.
+    cols = [
+        rng.integers(0, 96, (3, 1, 1, 1)),
+        rng.integers(0, 96, (1, 7, 1, 1)),
+        rng.integers(0, 96, (1, 1, 6, 1)),
+        rng.integers(0, 96, (1, 1, 1, 9)),
+    ]
+    images = rule.local_batch([col.astype(dtype) for col in cols])
+    hoods = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    assert images.shape == hoods.shape[:-1]
+    expected = [rule.local(*hood) for hood in hoods.reshape(-1, 4).tolist()]
+    assert images.reshape(-1).tolist() == expected
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_start_check_takes_int_subclasses_and_names_the_first_other_cell(steps):
+    rule = RULES[0]
+    assert run(rule, Finite(0, [True, 3], 0), steps) == run(rule, Finite(0, [1, 3], 0), steps)
+    cases = [
+        (Finite(0, [1, np.int64(2), 99], 0), "state np.int64(2) out of range for 16 states"),
+        (Cyclic([3, 2.0, 1]), "state 2.0 out of range for 16 states"),
+        (BiPeriodic([0], [5, True, 16], 0, [1, -1]), "state 16 out of range for 16 states"),
+        (BiPeriodic([0, 2**70], [], 0, [0]), f"state {2**70} out of range for 16 states"),
+    ]
+    for config, message in cases:
+        for call in (lambda: step(rule, config), lambda: run(rule, config, steps)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
