@@ -133,17 +133,18 @@ class Trajectory:
     pair ``(x0, cells)`` whose integer array ``cells`` holds the cells
     of ``configs[t]`` at x0, x0 + 1, ...  A cyclic row is the word at
     x0 = 0; a finite or bi-periodic row covers the whole center, opens
-    with one period of the left background and closes with one of the
-    right, at the periods of ``_start``, the start they were stepped
-    from.  ``run`` keeps only these two: ``configs`` is built from them
-    when first read, then kept.  Neither takes part in ``==``, ``hash``
-    or ``repr``.
+    with at least one period of the left background of ``start`` and
+    closes with at least one of the right.  ``run`` keeps only the rows
+    and the configuration it stepped: ``configs`` is built from them
+    when first read, then kept.  ``rows`` takes no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     rule: Rule
     configs: tuple
     rows: tuple | None = field(default=None, compare=False, repr=False)
-    _start: object = field(default=None, compare=False, repr=False)
+    # What ``run`` stepped, as given; None for a trajectory built otherwise.
+    _start: object = field(default=None, init=False, compare=False, repr=False)
 
     def __getattr__(self, name):
         # Reached only for a missing attribute: ``configs`` of a
@@ -155,6 +156,13 @@ class Trajectory:
         configs = (canonicalize(start), *(_row_config(start, x0, cells, primitive) for x0, cells in self.rows[1:]))
         object.__setattr__(self, "configs", configs)
         return configs
+
+    @property
+    def start(self):
+        """The configuration at t = 0, read without building ``configs``:
+        the one ``run`` was given, of which ``configs[0]`` is the
+        canonical form, or else ``configs[0]``."""
+        return self.configs[0] if self._start is None else self._start
 
 
 def make_rule(state_count, neighborhood, local_map, quiescent):
@@ -381,12 +389,7 @@ def _check_config(rule, cfg):
     if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
         raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
-    cells = tuple(itertools.chain.from_iterable(words))
-    # Plain ints in range are checked in C; otherwise the loop finds the
-    # first cell that is not a state.
-    if set(map(type, cells)) <= {int} and 0 <= min(cells, default=0) and max(cells, default=0) < s:
-        return
-    for value in cells:
+    for value in itertools.chain.from_iterable(words):
         if not (isinstance(value, int) and 0 <= value < s):
             raise ValueError(f"state {value!r} out of range for {s} states")
 
@@ -459,12 +462,12 @@ def window_cells(config, x_min, x_max):
 
 
 def window_matrix(trajectory, x_min, x_max):
-    """``window_cells`` of every configuration of a trajectory that
-    ``run`` stepped, as one integer matrix: row t, column x - x_min.
+    """``window_cells`` of every configuration of a trajectory with
+    ``rows``, as one integer matrix: row t, column x - x_min.
     Read from ``trajectory.rows`` alone: a cell before a row repeats the
     row's first ``nl`` cells and one after it the last ``nr``, the
-    background periods of the start (a cyclic row is read as x % n)."""
-    left, _, _, right = _parts(trajectory._start)
+    background periods of its start (a cyclic row is read as x % n)."""
+    left, _, _, right = _parts(trajectory.start)
     nl, nr = len(left), len(right)
     xs = np.arange(x_min, x_max + 1)
     width = len(xs)

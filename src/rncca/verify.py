@@ -848,36 +848,28 @@ def mass_ledger(code, trajectory, window=None):
 
     The window should be aligned to block boundaries and sit in
     quiescent background at both ends at t = 0.  A trajectory that
-    ``engine.run`` stepped is read from its rows through
-    ``engine.window_matrix``, so no configuration is built.
+    ``engine.run`` stepped from a finite or bi-periodic start is read
+    from its rows through ``engine.window_matrix``, so no configuration
+    is built.
     """
-    stepped = isinstance(trajectory, Trajectory) and trajectory.rows is not None
-    if stepped:
-        # ``configs[0]``, without building the others.
-        first = engine.canonicalize(trajectory._start)
-    else:
-        configs = trajectory.configs if isinstance(trajectory, Trajectory) else tuple(trajectory)
-        first = configs[0]
+    if not isinstance(trajectory, Trajectory):
+        trajectory = Trajectory(None, tuple(trajectory))
     if window is None:
-        window = _aligned_window(first)
+        window = _aligned_window(engine.canonicalize(trajectory.start))
     a, b = window
     width = max(b - a + 1, 0)
-    # Per t: whether the cells are a whole ring, and the cells, which
-    # otherwise run from a to at least b + t: the heavy window and the
-    # light one, t cells on.
-    if not stepped:
-        lines = [
-            (True, cfg.word) if isinstance(cfg, Cyclic) else (False, engine.window_cells(cfg, a, b + t))
-            for t, cfg in enumerate(configs)
-        ]
-    elif isinstance(first, Cyclic):
-        lines = [(True, cells) for _, cells in trajectory.rows]
+    # Per t, cells a .. b + t hold the heavy window and the light one, t
+    # cells on; a cyclic configuration's are its whole word.
+    if trajectory.rows is not None and not isinstance(trajectory.start, Cyclic):
+        windows = engine.window_matrix(trajectory, a, a + width + len(trajectory.rows) - 2)
+        rings = itertools.repeat(False)
     else:
-        matrix = engine.window_matrix(trajectory, a, a + width + len(trajectory.rows) - 2)
-        lines = [(False, cells) for cells in matrix]
+        configs = trajectory.configs
+        rings = [isinstance(cfg, Cyclic) for cfg in configs]
+        windows = [cfg.word if ring else engine.window_cells(cfg, a, b + t) for t, (ring, cfg) in enumerate(zip(rings, configs))]
     rows = []
-    for t, (ring, cells) in enumerate(lines):
-        row = np.fromiter(cells, dtype=np.int64, count=len(cells))
+    for t, (ring, cells) in enumerate(zip(rings, windows)):
+        row = np.asarray(cells, dtype=np.int64)
         light = row % code.light_modulus
         heavy = row - light
         if not ring:

@@ -134,6 +134,7 @@ def test_render_from_rows_matches_configs(data):
     spec = RenderSpec(data.draw(st.sampled_from(["text", "pgm", "csv"])), x_min, x_max, steps)
     drawn = render(trajectory, spec)
     assert drawn == render(Trajectory(rule, trajectory.configs), spec)
+    assert drawn == render(Trajectory(rule, trajectory.configs, trajectory.rows), spec)
     assert drawn == per_cell_render(trajectory, spec)
 
 

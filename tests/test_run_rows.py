@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rncca import engine, verify
-from rncca.cli import main
+from rncca.cli import RenderSpec, main, render
 from rncca.convert import convert, encode_tau_prime
 from rncca.engine import BiPeriodic, Cyclic, Finite, Rule, canonicalize, make_rule, run, step
 from rncca.rpca import QUIESCENT_PAIR, example_rpca
@@ -165,6 +165,33 @@ def test_configs_are_built_from_the_rows_when_first_read(rule, start):
     assert configs == tuple(expected)
     # Equal to a trajectory built from its configurations.
     assert trajectory == engine.Trajectory(rule, configs)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        Finite(-3, [0, 1, 0, 2, 0], 0),
+        Cyclic([1, 0, 2, 2, 1]),
+        # Stepped at periods 4 and 6, read at the primitive 2 and 3.
+        BiPeriodic([1, 0, 1, 0], [2, 1], 1, [0, 2, 1, 0, 2, 1]),
+    ],
+)
+def test_trajectory_built_from_configs_and_rows_reads_like_run(start):
+    rule = RULES[1]
+    trajectory = run(rule, start, 7)
+    rebuilt = engine.Trajectory(rule, trajectory.configs, trajectory.rows)
+    assert trajectory.start == start and rebuilt.start == trajectory.configs[0]
+    lo = min(x0 for x0, _ in trajectory.rows) - 9
+    hi = max(x0 + len(cells) for x0, cells in trajectory.rows) + 9
+    for x_min, x_max in [(lo, hi), (lo, lo + 4), (hi - 4, hi)]:
+        expected = [engine.window_cells(cfg, x_min, x_max) for cfg in trajectory.configs]
+        assert engine.window_matrix(rebuilt, x_min, x_max).tolist() == [list(cells) for cells in expected]
+        spec = RenderSpec("text", x_min, x_max, 7)
+        assert render(rebuilt, spec) == render(trajectory, spec)
+    window = (lo + 9, hi - 9)
+    expected = verify.mass_ledger(rule.code, list(trajectory.configs), window)
+    assert verify.mass_ledger(rule.code, rebuilt, window) == expected
+    assert verify.mass_ledger(rule.code, trajectory, window) == expected
 
 
 @settings(max_examples=200, deadline=None)
