@@ -5,9 +5,10 @@ Commands: ``validate`` (reversibility of a rule file), ``convert``
 space-time diagram), ``verify`` (run an oracle), and ``embed`` (block-
 encode a partitioned configuration).
 
-Exit codes: 0 on success/pass, 1 on a property or validation failure,
-2 on usage or parse errors.  ``RNCCA_BUDGET`` overrides the exhaustive
-sweep budget.
+Exit codes: 0 on success/pass, 1 on a property failure or a rule
+``validate`` finds not reversible, 2 on a refusal to start: usage and
+parse errors, and a non-reversible rule given to any other command.
+``RNCCA_BUDGET`` overrides the exhaustive sweep budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -84,16 +84,15 @@ def render(trajectory, spec):
     label = _labeller(spec.format, s)
     if trajectory.rows is not None:
         matrix = engine.window_matrix(trajectory, spec.x_min, spec.x_max)
-        if not _all_states(matrix, s):
+        if matrix.min() < 0 or matrix.max() >= s:
             rows, matrix = matrix.tolist(), None
     else:
         rows = [engine.window_cells(cfg, spec.x_min, spec.x_max) for cfg in trajectory.configs]
-        matrix = _state_matrix(rows, s)
+        matrix = None
     if matrix is None:
-        # ``engine.run`` range-checks the start, so only a trajectory
-        # built otherwise, or a ``local_batch`` that breaks its rule's
-        # range, can hold a cell outside its states.  Such a trajectory is
-        # labelled cell by cell.
+        # A trajectory built by hand, whose cells need not be states, or
+        # one whose ``local_batch`` breaks its rule's range (``engine.run``
+        # range-checks only the start) is labelled cell by cell.
         labelled = [[label(value) for value in row] for row in rows]
     elif spec.format == "text":
         # Text labels share one width: gather each with a trailing space
@@ -113,22 +112,6 @@ def render(trajectory, spec):
         if spec.format == "pgm":
             lines = ["P2", f"{spec.x_max - spec.x_min + 1} {len(labelled)}", "255"] + lines
     return "\n".join(lines) + "\n"
-
-
-def _state_matrix(rows, state_count):
-    """``rows`` as one integer matrix, or None unless every cell is a
-    state 0..state_count - 1."""
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        return None
-    try:
-        matrix = np.array(rows, dtype=np.intp)
-    except (OverflowError, ValueError):
-        return None
-    return matrix if _all_states(matrix, state_count) else None
-
-
-def _all_states(matrix, state_count):
-    return matrix.min() >= 0 and matrix.max() < state_count
 
 
 def _write(text, out_path):
@@ -250,48 +233,26 @@ def _load_int_rule(path):
         "",
     )
     if first.startswith("rpca"):
-        p = rpca.parse_rpca(text)
-        if not rpca.check_local_injective(p):
-            raise ValueError("rule is not reversible; conversion is undefined")
-        return convert(p)
+        return convert(rpca.parse_rpca(text))
     if first.startswith("ncca"):
         return _parse_ncca(text)
     raise ValueError("rule file must start with an 'rpca' or 'ncca' header")
 
 
-def _injectivity_witness(p):
-    seen = {}
-    for c in range(p.c_size):
-        for r in range(p.r_size):
-            image = p.table[c][r]
-            if image in seen:
-                return seen[image], (c, r), image
-            seen[image] = (c, r)
-    return None
-
-
 def cmd_validate(args):
     p = _load_rpca(args.rule)
-    if rpca.check_local_injective(p):
-        print(f"reversible: yes, states: {p.state_count} (C={p.c_size}, R={p.r_size})")
+    sizes = f"states: {p.state_count} (C={p.c_size}, R={p.r_size})"
+    witness = rpca._injectivity_witness(p)
+    if witness is None:
+        print(f"reversible: yes, {sizes}")
         return 0
-    first, second, image = _injectivity_witness(p)
-    print(
-        f"reversible: no, states: {p.state_count} (C={p.c_size}, R={p.r_size});"
-        f" inputs {first} and {second} both map to {image}"
-    )
+    print("reversible: no, {}; inputs {} and {} both map to {}".format(sizes, *witness))
     return 1
 
 
 def cmd_convert(args):
     p = _load_rpca(args.rule)
-    if not rpca.check_local_injective(p):
-        first, second, image = _injectivity_witness(p)
-        print(
-            f"error: rule is not reversible; inputs {first} and {second} both map to {image}",
-            file=sys.stderr,
-        )
-        return 1
+    rpca._require_reversible(p)
     code = ParticleCode(p.c_size, p.r_size)
     digest = hashlib.sha256(_read(args.rule).encode()).hexdigest()
     neighborhood = ",".join(str(n) for n in NEIGHBORHOOD)
@@ -312,11 +273,7 @@ def cmd_convert(args):
     if args.dump_table:
         s = code.state_count
         if s**4 > _DUMP_LIMIT:
-            print(
-                f"error: refusing to dump {s ** 4} transitions; the rule stays computed",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"refusing to dump {s ** 4} transitions; the rule stays computed")
         # Every neighborhood (a, b, c, d) in order, d fastest.
         cols = np.indices((s,) * 4).reshape(4, -1)
         images = convert(p).local_batch(list(cols))
@@ -364,9 +321,6 @@ def cmd_verify(args):
             )
     else:
         p = _load_rpca(args.rule)
-        if not rpca.check_local_injective(p):
-            print("error: rule is not reversible", file=sys.stderr)
-            return 1
         if args.property == "simulate":
             report = verify.check_simulation_correspondence(
                 p, mode=mode, max_support=args.support, steps=args.steps,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine
 from .engine import BiPeriodic, Cyclic, Finite
-from .rpca import QUIESCENT_PAIR, Rpca2, check_local_injective
+from .rpca import QUIESCENT_PAIR, Rpca2, _require_reversible
 
 __all__ = [
     "ParticleCode",
@@ -221,8 +221,7 @@ def convert(p):
     Only light(q-2) and heavy(q1) matter, so the rule is compiled into
     one table indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|).
     """
-    if not check_local_injective(p):
-        raise ValueError("table is not injective; the derived rule would not be reversible")
+    _require_reversible(p)
     code = ParticleCode(p.c_size, p.r_size)
     s = code.state_count
     two_r = code.light_modulus

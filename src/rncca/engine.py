@@ -309,13 +309,6 @@ def _parts(config):
     raise TypeError(f"not a configuration: {config!r}")
 
 
-def _distinct_words(config):
-    """The words of ``_parts(config)``, a background that is both sides
-    given once."""
-    left, center, _, right = _parts(config)
-    return (left, center) if right is left else (left, center, right)
-
-
 def _center_span(config):
     """The first and last position of the center of ``_parts(config)``;
     an empty center spans the one cell at its offset."""
@@ -385,11 +378,12 @@ def _check_config(rule, cfg):
     """Refuse a configuration that ``rule`` cannot step: a finite one
     on another background than the rule's quiescent state, or one with
     a cell that is not a state."""
-    words = _distinct_words(cfg)
+    left, center, _, right = _parts(cfg)
     if isinstance(cfg, Finite) and cfg.quiescent != rule.quiescent:
         raise ValueError("configuration background does not match the rule's quiescent state")
     s = rule.state_count
-    for value in itertools.chain.from_iterable(words):
+    # A background that is both sides is checked once.
+    for value in itertools.chain(left, center, () if right is left else right):
         if not (isinstance(value, int) and 0 <= value < s):
             raise ValueError(f"state {value!r} out of range for {s} states")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -153,38 +154,55 @@ def check_local_injective(p):
     of its global map, so this single finite check certifies
     reversibility.
     """
-    outputs = {p.table[c][r] for c in range(p.c_size) for r in range(p.r_size)}
-    return len(outputs) == p.c_size * p.r_size
+    return _injectivity_witness(p) is None
 
 
-def _validate_config(p, config):
-    words = engine._distinct_words(config)
-    if isinstance(config, Finite) and config.quiescent != QUIESCENT_PAIR:
-        raise ValueError("partitioned configurations use quiescent pair (0, 0)")
-    for word in words:
-        for cell in word:
-            try:
-                known = isinstance(cell, tuple) and cell in p._codes
-            except TypeError:  # a part that cannot be hashed
-                known = False
-            if not known:
-                raise ValueError(f"cell {cell!r} is not a pair in {p.c_size}x{p.r_size}")
+def _injectivity_witness(p):
+    """Two inputs the table maps to one image, and that image, or None
+    when the table is a permutation of C x R."""
+    seen = {}
+    for c in range(p.c_size):
+        for r in range(p.r_size):
+            image = p.table[c][r]
+            if image in seen:
+                return seen[image], (c, r), image
+            seen[image] = (c, r)
+    return None
+
+
+def _require_reversible(p):
+    """Refuse a table that is not a permutation of C x R, naming two
+    inputs with one image."""
+    witness = _injectivity_witness(p)
+    if witness is not None:
+        raise ValueError("rule is not reversible; inputs {} and {} both map to {}".format(*witness))
 
 
 def _recode(config, cell):
     """``config`` with every cell, and a finite one's background, mapped
-    through ``cell``."""
+    through ``cell``; the first cell ``cell`` refuses is the leftmost."""
     if isinstance(config, Finite):
         return Finite(config.offset, map(cell, config.word), cell(config.quiescent))
     if isinstance(config, Cyclic):
         return Cyclic(map(cell, config.word))
-    return BiPeriodic(map(cell, config.left), map(cell, config.center), config.center_offset, map(cell, config.right))
+    # ``BiPeriodic`` would read lazy maps left, right, center; map the
+    # words here instead, in order.
+    left, center, c0, right = engine._parts(config)
+    return BiPeriodic(tuple(map(cell, left)), tuple(map(cell, center)), c0, tuple(map(cell, right)))
 
 
 def _step_codes(p, rule, config):
     """One step of a pair configuration by the code rule ``rule``."""
-    _validate_config(p, config)
-    image = engine.step(rule, _recode(config, p._codes.__getitem__))
+    if isinstance(config, Finite) and config.quiescent != QUIESCENT_PAIR:
+        raise ValueError("partitioned configurations use quiescent pair (0, 0)")
+
+    def code(cell):
+        try:
+            return p._codes[cell]
+        except (KeyError, TypeError):  # TypeError: a part that cannot be hashed
+            raise ValueError(f"cell {cell!r} is not a pair in {p.c_size}x{p.r_size}") from None
+
+    image = engine.step(rule, _recode(config, code))
     return _recode(image, p._pairs.__getitem__)
 
 
@@ -193,27 +211,16 @@ def step_rpca(p, config):
     return _step_codes(p, p._forward, config)
 
 
-class _RpcaInverse:
-    """Backward stepper for a reversible table.
+def invert_rpca(p):
+    """Return a backward stepper (``step_back(config)``); rejects
+    non-injective tables.
 
     Undoing a step inverts the table cell-wise and then routes the
     recovered right parts back to the left: the old pair at x combines
     the inverted center part at x with the inverted right part at x+1.
     """
-
-    def __init__(self, p):
-        if not check_local_injective(p):
-            raise ValueError("table is not injective; no inverse exists")
-        self.rpca = p
-
-    def step_back(self, config):
-        return _step_codes(self.rpca, self.rpca._backward, config)
-
-
-def invert_rpca(p):
-    """Return a backward stepper (``step_back(config)``); rejects
-    non-injective tables."""
-    return _RpcaInverse(p)
+    _require_reversible(p)
+    return SimpleNamespace(step_back=lambda config: _step_codes(p, p._backward, config))
 
 
 def _fisher_yates(items, seed):

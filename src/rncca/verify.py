@@ -658,14 +658,12 @@ def _ledger_failures(p, rule, gaps, words, steps):
     row[:, starts - x0] = blocks[words, 0]
     row[:, starts - x0 + 1] = blocks[words, 1]
     # The canonical center: the first and last cells off the background;
-    # an empty one sits at 0.  As in ``_aligned_window``, the window runs
-    # two cells past the even cell at or before it and the odd cell at or
-    # after it.
+    # an empty one sits at 0.
     off = row != background
     live = off.any(axis=1)
     first = np.where(live, off.argmax(axis=1) + x0, 0)
     last = np.where(live, x0 + width - 1 - off[:, ::-1].argmax(axis=1), 0)
-    a, b = first - first % 2 - 2, last + 1 - last % 2 + 2
+    a, b = _aligned(first, last)
     # A sum over cells u..v is prefix[v + 1] - prefix[u]; ``ends`` holds the
     # prefix indices a - 1, a, b + 1 and b + 2, and ``windows`` picks
     # (a, b), (a - 1, b), (a, b + 1) and (a - 1, b + 1) from them.
@@ -833,14 +831,17 @@ class MassLedger:
     rows: tuple
 
 
+def _aligned(first, last):
+    """The ledger window of a center from cell ``first`` to ``last``
+    (integers or arrays): two cells past the even cell at or before
+    ``first`` and the odd cell at or after ``last``."""
+    return first - first % 2 - 2, last + 1 - last % 2 + 2
+
+
 def _aligned_window(config):
     if isinstance(config, Cyclic):
         return (0, len(config.word) - 1)
-    start, end = engine._center_span(config)
-    start -= start % 2
-    if end % 2 == 0:
-        end += 1
-    return (start - 2, end + 2)
+    return _aligned(*engine._center_span(config))
 
 
 def mass_ledger(code, trajectory, window=None):

@@ -11,7 +11,7 @@ from rncca import verify
 from rncca.cli import RenderSpec, main, render
 from rncca.convert import ParticleCode, convert, encode_tau
 from rncca.engine import Finite, run
-from rncca.rpca import example_rpca, format_rpca, make_rpca
+from rncca.rpca import example_rpca, format_rpca, invert_rpca, make_rpca, parse_rpca
 
 XOR_TEXT = format_rpca(example_rpca("xor"))
 CONSTANT_TEXT = format_rpca(
@@ -72,10 +72,10 @@ def test_convert_sizes(tmp_path, capsys):
     assert "states=96" in capsys.readouterr().out
 
 
-def test_convert_non_reversible_exits_1(tmp_path, capsys):
+def test_convert_non_reversible_exits_2(tmp_path, capsys):
     path = tmp_path / "const.rpca"
     path.write_text(CONSTANT_TEXT)
-    assert main(["convert", str(path)]) == 1
+    assert main(["convert", str(path)]) == 2
     assert "not reversible" in capsys.readouterr().err
 
 
@@ -189,14 +189,14 @@ def test_run_rejects_table_free_ncca(tmp_path, xor_rule, capsys):
     assert "dump-table" in capsys.readouterr().err
 
 
-NOT_CONVERTIBLE = "rule is not reversible; conversion is undefined"
+NOT_REVERSIBLE = "rule is not reversible; inputs (0, 0) and (0, 1) both map to (0, 0)"
 BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
 
 
 @pytest.mark.parametrize(
     "args, status, error",
     [
-        (["run", "{constant}", "{golden}/finite.cfg", "--steps", "2"], 2, NOT_CONVERTIBLE),
+        (["run", "{constant}", "{golden}/finite.cfg", "--steps", "2"], 2, NOT_REVERSIBLE),
         (
             ["run", "{headless}", "{golden}/finite.cfg", "--steps", "2"],
             2,
@@ -207,12 +207,10 @@ BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
             2,
             "refusing to dump 5308416 transitions; the rule stays computed",
         ),
-        # A non-reversible rule exits 1 under simulate and tauprime, but 2
-        # under conserve, inject and run, whose rule loader refuses it.
-        (["verify", "{constant}", "simulate"], 1, "rule is not reversible"),
-        (["verify", "{constant}", "tauprime"], 1, "rule is not reversible"),
-        (["verify", "{constant}", "conserve"], 2, NOT_CONVERTIBLE),
-        (["verify", "{constant}", "inject"], 2, NOT_CONVERTIBLE),
+        (["verify", "{constant}", "simulate"], 2, NOT_REVERSIBLE),
+        (["verify", "{constant}", "tauprime"], 2, NOT_REVERSIBLE),
+        (["verify", "{constant}", "conserve"], 2, NOT_REVERSIBLE),
+        (["verify", "{constant}", "inject"], 2, NOT_REVERSIBLE),
         (["embed", "{golden}/rule.rpca", "{golden}/source.cfg", "--gaps", "1,x"], 2, BAD_GAPS),
         (["verify", "{golden}/rule.rpca", "tauprime", "--gaps", "1,x"], 2, BAD_GAPS),
     ],
@@ -225,6 +223,28 @@ def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error
     paths = dict(constant=constant, headless=headless, golden=GOLDEN)
     assert main([arg.format(**paths) for arg in args]) == status
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{constant}", "{golden}/finite.cfg", "--steps", "2"],
+        ["convert", "{constant}"],
+        ["convert", "{constant}", "--dump-table"],
+        *(["verify", "{constant}", prop] for prop in ("conserve", "inject", "simulate", "tauprime")),
+    ],
+)
+def test_non_reversible_rule_is_refused_alike(capsys, args):
+    # Every command but validate refuses a non-reversible rule before
+    # any output, with the message the library raises.
+    assert main([arg.format(constant=GOLDEN / "constant.rpca", golden=GOLDEN) for arg in args]) == 2
+    assert capsys.readouterr() == ("", f"error: {NOT_REVERSIBLE}\n")
+    p = parse_rpca(CONSTANT_TEXT)
+    assert (GOLDEN / "constant.rpca").read_text() == CONSTANT_TEXT
+    for refuse in (convert, invert_rpca):
+        with pytest.raises(ValueError) as exc:
+            refuse(p)
+        assert str(exc.value) == NOT_REVERSIBLE
 
 
 def test_verify_simulate_passes(xor_rule, capsys):

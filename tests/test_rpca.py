@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rncca import rpca
 from rncca.engine import BiPeriodic, Cyclic, Finite, canonicalize
 from rncca.rpca import (
     QUIESCENT_PAIR,
@@ -101,6 +102,23 @@ def test_steps_refuse_unhashable_parts(step, cell):
         with pytest.raises(ValueError) as exc:
             step(config)
         assert str(exc.value) == f"cell {cell!r} is not a pair in 2x2"
+
+
+# A distinct cell outside 2x2 for each word of a bi-periodic start.
+BAD_CELLS = {"left": (2, 0), "center": (0, 2), "right": (3, 3)}
+
+
+@pytest.mark.parametrize("step", [lambda c: step_rpca(XOR, c), invert_rpca(XOR).step_back])
+@pytest.mark.parametrize(
+    "bad", [("left", "center", "right"), ("center", "right"), ("left", "right"), ("right",)]
+)
+def test_steps_name_the_leftmost_bad_cell(step, bad):
+    # ``BiPeriodic`` makes its words tuples left, right, center; the
+    # refusal still names the cell furthest left.
+    words = {part: [(1, 0), cell if part in bad else (0, 1)] for part, cell in BAD_CELLS.items()}
+    with pytest.raises(ValueError) as exc:
+        step(BiPeriodic(words["left"], words["center"], 0, words["right"]))
+    assert str(exc.value) == f"cell {BAD_CELLS[bad[0]]!r} is not a pair in 2x2"
 
 
 def test_invert_round_trips_all_small_supports():
@@ -322,3 +340,21 @@ def test_pair_steps_equal_the_per_cell_reference(data):
     inverse = {p.table[c][r]: (c, r) for c in range(p.c_size) for r in range(p.r_size)}
     backward = LocalRule((0, 1), lambda here, right: (inverse[here][0], inverse[right][1]))
     assert invert_rpca(p).step_back(cfg) == reference_step(backward, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([XOR, example_rpca("identity", 3, 2), example_rpca("swap", 3, 3)]),
+        pair_tables(injective=True),
+        pair_tables(injective=False),
+    )
+)
+def test_injectivity_check_and_witness_match_the_image_count(p):
+    inputs = [(c, r) for c in range(p.c_size) for r in range(p.r_size)]
+    injective = len({p.table[c][r] for c, r in inputs}) == len(inputs)
+    witness = rpca._injectivity_witness(p)
+    assert check_local_injective(p) == (witness is None) == injective
+    if witness is not None:
+        (c1, r1), (c2, r2), image = witness
+        assert (c1, r1) < (c2, r2) and p.table[c1][r1] == p.table[c2][r2] == image
