@@ -220,7 +220,11 @@ def invert_rpca(p):
     the inverted center part at x with the inverted right part at x+1.
     """
     _require_reversible(p)
-    return SimpleNamespace(step_back=lambda config: _step_codes(p, p._backward, config))
+
+    def step_back(config):
+        return _step_codes(p, p._backward, config)
+
+    return SimpleNamespace(step_back=step_back)
 
 
 def _fisher_yates(items, seed):
