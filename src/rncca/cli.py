@@ -127,16 +127,6 @@ def _read(path):
         return handle.read()
 
 
-def _load_rpca(path):
-    return rpca.parse_rpca(_read(path))
-
-
-class NccaParseError(ValueError):
-    def __init__(self, message, line=1):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 def _parse_ncca(text):
     """Parse a derived-rule file; a full transition-table dump is
     required to make it runnable.
@@ -156,8 +146,8 @@ def _parse_ncca(text):
         header = _ncca_line(lines[i], i + 1, header, others)
     if header is None:
         if first_dumped < len(lines):
-            raise NccaParseError("expected an 'ncca ...' header", first_dumped + 1)
-        raise NccaParseError("missing 'ncca ...' header", 1)
+            raise rpca.RuleParseError("expected an 'ncca ...' header", first_dumped + 1)
+        raise rpca.RuleParseError("missing 'ncca ...' header", 1)
     keys, outputs = numbers[:, :4], numbers[:, 4]
     if others:
         at = np.concatenate([np.flatnonzero(dumped), [i for i, _, _ in others]])
@@ -165,7 +155,7 @@ def _parse_ncca(text):
         keys = np.concatenate([keys, np.array([key for _, key, _ in others]).reshape(-1, 4)])[order]
         outputs = np.concatenate([outputs, np.array([q for _, _, q in others])])[order]
     if not len(outputs):
-        raise NccaParseError(
+        raise rpca.RuleParseError(
             "no transition table; re-run convert with --dump-table to make the file runnable", 1
         )
     return engine.make_rule(header, NEIGHBORHOOD, (keys, outputs), 0)
@@ -181,23 +171,23 @@ def _ncca_line(raw, line_no, header, transitions):
     tokens = line.split()
     if header is None:
         if tokens[0] != "ncca":
-            raise NccaParseError("expected an 'ncca ...' header", line_no)
+            raise rpca.RuleParseError("expected an 'ncca ...' header", line_no)
         fields = dict(token.split("=", 1) for token in tokens[1:] if "=" in token)
         try:
             return int(fields["states"])
         except (KeyError, ValueError):
-            raise NccaParseError("header must carry states=<int>", line_no) from None
+            raise rpca.RuleParseError("header must carry states=<int>", line_no) from None
     if tokens[0] in ("bc", "br"):
         return header
     if tokens[0] == "t":
         if len(tokens) != 7 or tokens[5] != "->":
-            raise NccaParseError("expected 't a b c d -> q'", line_no)
+            raise rpca.RuleParseError("expected 't a b c d -> q'", line_no)
         try:
             transitions.append((line_no - 1, tuple(int(v) for v in tokens[1:5]), int(tokens[6])))
         except ValueError:
-            raise NccaParseError("transition fields must be integers", line_no) from None
+            raise rpca.RuleParseError("transition fields must be integers", line_no) from None
         return header
-    raise NccaParseError(f"unknown line kind {tokens[0]!r}", line_no)
+    raise rpca.RuleParseError(f"unknown line kind {tokens[0]!r}", line_no)
 
 
 def _dump_lines(lines):
@@ -240,7 +230,7 @@ def _load_int_rule(path):
 
 
 def cmd_validate(args):
-    p = _load_rpca(args.rule)
+    p = rpca.parse_rpca(_read(args.rule))
     sizes = f"states: {p.state_count} (C={p.c_size}, R={p.r_size})"
     witness = rpca._injectivity_witness(p)
     if witness is None:
@@ -251,10 +241,11 @@ def cmd_validate(args):
 
 
 def cmd_convert(args):
-    p = _load_rpca(args.rule)
+    text = _read(args.rule)
+    p = rpca.parse_rpca(text)
     rpca._require_reversible(p)
     code = ParticleCode(p.c_size, p.r_size)
-    digest = hashlib.sha256(_read(args.rule).encode()).hexdigest()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     neighborhood = ",".join(str(n) for n in NEIGHBORHOOD)
     lines = [
         f"ncca C={p.c_size} R={p.r_size} states={code.state_count}"
@@ -320,7 +311,7 @@ def cmd_verify(args):
                 rule, args.cycle, mode=mode, count=count, seed=args.seed, budget=budget
             )
     else:
-        p = _load_rpca(args.rule)
+        p = rpca.parse_rpca(_read(args.rule))
         if args.property == "simulate":
             report = verify.check_simulation_correspondence(
                 p, mode=mode, max_support=args.support, steps=args.steps,
@@ -350,7 +341,7 @@ def _parse_gaps(text):
 
 
 def cmd_embed(args):
-    p = _load_rpca(args.rule)
+    p = rpca.parse_rpca(_read(args.rule))
     code = ParticleCode(p.c_size, p.r_size)
     config = formats.parse_configuration_text(_read(args.config))
     if not isinstance(config, (engine.Finite, engine.Cyclic)):

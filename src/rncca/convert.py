@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine
 from .engine import BiPeriodic, Cyclic, Finite
-from .rpca import QUIESCENT_PAIR, Rpca2, _require_reversible
+from .rpca import QUIESCENT_PAIR, _require_reversible
 
 __all__ = [
     "ParticleCode",
@@ -131,7 +131,6 @@ class NccaRule(engine.Rule):
     """
 
     code: ParticleCode = None
-    rpca: Rpca2 = None
 
 
 def decompose(code, q):
@@ -254,7 +253,6 @@ def convert(p):
         quiescent=0,
         local_batch=local_batch,
         code=code,
-        rpca=p,
     )
 
 

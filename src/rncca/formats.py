@@ -138,10 +138,8 @@ def parse_configuration(text, line=1):
     if kind == "cyclic:":
         if len(tokens) != 2:
             raise ConfigParseError("expected 'cyclic: cells'", line)
-        cells = _parse_cells(tokens[1], line)
-        if not cells:
-            raise ConfigParseError("cyclic word must be non-empty", line)
-        return Cyclic(cells)
+        # A token is never empty, so neither is its cell list.
+        return Cyclic(_parse_cells(tokens[1], line))
     if kind == "biperiodic":
         if (
             len(tokens) != 4

@@ -59,10 +59,6 @@ class Rpca2:
     table: tuple
 
     @property
-    def quiescent(self):
-        return QUIESCENT_PAIR
-
-    @property
     def state_count(self):
         return self.c_size * self.r_size
 

@@ -55,6 +55,9 @@ _CHUNK = 1 << 18
 _ROW_CELLS = 1 << 16
 # Generator outputs per read in the sampled draws.
 _DRAW_BLOCK = 1 << 12
+# The mass ledger's windows, as (left, right) offsets from the aligned
+# window, in the order they are tried: aligned, widened left, right, both.
+_WIDENINGS = ((0, 0), (-1, 0), (0, 1), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -512,13 +515,6 @@ def _padding(rule, k, horizon, steps):
     return -(-(wl - lo) * horizon // k) + 1, -(-right // k) + 1
 
 
-def _chunk_rows(rule, k, horizon, steps, max_support):
-    """Starts per chunk, so that a derived row matrix has about
-    ``_ROW_CELLS`` cells."""
-    width = k * (sum(_padding(rule, k, horizon, steps)) + max_support)
-    return max(1, _ROW_CELLS // width)
-
-
 def _tracking_failures(p, rule, k, words, periods, steps):
     """Where the derived CA stops tracking the source, for many starts.
 
@@ -637,7 +633,7 @@ def _ledger_failures(p, rule, gaps, words, steps):
     is the finite pair word ``words[j]`` at offset 0, encoded as
     ``encode_tau_prime`` encodes it with ``gaps``.  Returns ``bad`` with
     ``bad[j]`` true when none of the ledger's windows (the start's
-    ``_aligned_window`` and its three widenings) keeps both its heavy sum
+    ``_aligned_window`` and its ``_WIDENINGS``) keeps both its heavy sum
     and its light sum, taken t cells on, constant for t = 0..steps.
 
     Each start is one row: the pinned spacing-3 background with, from
@@ -664,20 +660,20 @@ def _ledger_failures(p, rule, gaps, words, steps):
     first = np.where(live, off.argmax(axis=1) + x0, 0)
     last = np.where(live, x0 + width - 1 - off[:, ::-1].argmax(axis=1), 0)
     a, b = _aligned(first, last)
-    # A sum over cells u..v is prefix[v + 1] - prefix[u]; ``ends`` holds the
-    # prefix indices a - 1, a, b + 1 and b + 2, and ``windows`` picks
-    # (a, b), (a - 1, b), (a, b + 1) and (a - 1, b + 1) from them.
-    ends = np.stack([a - 1, a, b + 1, b + 2], axis=1)
-    upper, lower = [2, 2, 3, 3], [1, 0, 1, 0]
+    # A sum over cells u..v is prefix[v + 1] - prefix[u]; ``ends`` holds u,
+    # then v + 1, of each window of ``_WIDENINGS``.
+    da, db = np.array(_WIDENINGS).T
+    ends = np.concatenate([a[:, None] + da, b[:, None] + 1 + db], axis=1)
+    w = len(_WIDENINGS)
     prefix = np.zeros((n, width + 1), dtype=np.int64)
 
     def windows(part, at):
         np.cumsum(part, axis=1, out=prefix[:, 1 : part.shape[1] + 1])
         sums = np.take_along_axis(prefix, at, axis=1)
-        return sums[:, upper] - sums[:, lower]
+        return sums[:, w:] - sums[:, :w]
 
     def ledger(row, t):
-        """Heavy sums of the four windows, then light sums t cells on."""
+        """Heavy sums of the windows, then light sums t cells on."""
         at = ends - (x0 - lo * t)  # the row after t steps starts at x0 - lo*t
         light = row % code.light_modulus
         return np.concatenate([windows(row - light, at), windows(light, at + t)], axis=1)
@@ -687,7 +683,7 @@ def _ledger_failures(p, rule, gaps, words, steps):
     for t in range(1, steps + 1):
         row = engine._shrink_step(batch, nb, row).astype(np.intp)
         steady &= ledger(row, t) == initial
-    return ~(steady[:, :4] & steady[:, 4:]).any(axis=1)
+    return ~(steady[:, :w] & steady[:, w:]).any(axis=1)
 
 
 def _sweep(starts, candidates, tracks):
@@ -716,7 +712,9 @@ def _spacing_sweep(p, rule, k, candidates, mode, max_support, steps, count, seed
     the counterexample when none does.  The first start no candidate
     survives, else the last one, goes through the public functions once
     more: they confirm the sweep and word the report."""
-    rows = _chunk_rows(rule, k, max(candidates) * steps, steps, max_support)
+    # Starts per chunk, so that a derived row matrix has about _ROW_CELLS cells.
+    width = k * (sum(_padding(rule, k, max(candidates) * steps, steps)) + max_support)
+    rows = max(1, _ROW_CELLS // width)
     candidates, start, failed = _sweep(
         _start_rows(p, mode, max_support, count, seed, rows),
         candidates,
@@ -880,12 +878,13 @@ def mass_ledger(code, trajectory, window=None):
 
 
 def ledger_is_constant(code, trajectory, window=None):
-    """Check mass-ledger constancy, widening the window by one cell per
-    side before declaring a violation."""
+    """Check mass-ledger constancy on the window and then on its
+    ``_WIDENINGS``, in order, before declaring a violation; returns the
+    first constant ledger, else the unwidened one."""
     ledger = mass_ledger(code, trajectory, window)
     a, b = ledger.window
-    retries = ((a - 1, b), (a, b + 1), (a - 1, b + 1))
-    for led in itertools.chain([ledger], (mass_ledger(code, trajectory, w) for w in retries)):
+    for da, db in _WIDENINGS:
+        led = mass_ledger(code, trajectory, (a + da, b + db)) if da or db else ledger
         if len({row[1] for row in led.rows}) == 1 and len({row[2] for row in led.rows}) == 1:
             return True, led
     return False, ledger

@@ -225,6 +225,36 @@ def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+MALFORMED_NCCA = "ncca states=16\nx 1\n"
+UNKNOWN_KIND = "line 2: unknown line kind 'x'"
+# 440 states: a reduced table of 2|R| * 440 * 440 * 2|C| entries.
+IDENTITY_10X11 = format_rpca(example_rpca("identity", c_size=10, r_size=11))
+OVER_LIMIT = "a 10x11 source needs a 85184000-entry rule table, over the limit of 67108864"
+MOVES_QUIESCENT = "rpca C=2 R=2\n0 0 -> 0 1\n0 1 -> 0 0\n1 0 -> 1 0\n1 1 -> 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, error",
+    [
+        (MALFORMED_NCCA, ["verify", "{rule}", "conserve"], UNKNOWN_KIND),
+        (MALFORMED_NCCA, ["run", "{rule}", "{golden}/finite.cfg", "--steps", "1"], UNKNOWN_KIND),
+        (IDENTITY_10X11, ["verify", "{rule}", "simulate"], OVER_LIMIT),
+        (IDENTITY_10X11, ["run", "{rule}", "{golden}/finite.cfg", "--steps", "1"], OVER_LIMIT),
+        (
+            MOVES_QUIESCENT,
+            ["validate", "{rule}"],
+            "line 1: quiescent pair (0, 0) must be a fixed point, maps to (0, 1)",
+        ),
+    ],
+    ids=["ncca-verify", "ncca-run", "over-limit-verify", "over-limit-run", "moves-quiescent"],
+)
+def test_rule_file_refusals_exit_with_one_error_line(tmp_path, capsys, text, args, error):
+    rule = tmp_path / "rule.txt"
+    rule.write_text(text)
+    assert main([arg.format(rule=rule, golden=GOLDEN) for arg in args]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -118,6 +118,15 @@ def test_convert_rejects_non_injective():
         convert(make_rpca(2, 2, table))
 
 
+def test_convert_refuses_a_source_over_the_table_limit():
+    # 440 states: 2|R| * 440 * 440 * 2|C| entries.
+    with pytest.raises(ValueError) as err:
+        convert(example_rpca("identity", c_size=10, r_size=11))
+    assert str(err.value) == (
+        "a 10x11 source needs a 85184000-entry rule table, over the limit of 67108864"
+    )
+
+
 def test_derived_local_worked_cases():
     local = XOR_RULE.local
     assert local(0, 0, 0, 0) == 0
@@ -289,6 +298,13 @@ def test_decode_tau_prime_round_trip():
             alpha = canonicalize(Finite(0, word, QUIESCENT_PAIR))
             enc = encode_tau_prime(CODE22, alpha, k=k)
             assert decode_tau_prime(CODE22, enc, k) == alpha
+
+
+def test_decode_tau_prime_refuses_spacing_2():
+    enc = encode_tau_prime(CODE22, Cyclic([(1, 1)]), k=3)
+    with pytest.raises(ValueError) as err:
+        decode_tau_prime(CODE22, enc, 2)
+    assert str(err.value) == "uniform spacing needs k >= 3"
 
 
 def test_decode_tau_prime_rejects_dirty_gap():

@@ -56,6 +56,24 @@ def test_make_rule_rejects_partial_table():
         make_rule(2, (0,), {(0,): 0}, 0)
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: make_rule(2, (), lambda: 0, 0), "neighborhood must not be empty"),
+        (lambda: make_rule(2, (0,), lambda x: x, 2), "quiescent state 2 out of range for 2 states"),
+        (lambda: make_rule(2, (0,), {0: 0, 1: 1}, 0), "local map keys must be 1-tuples, got 0"),
+        (lambda: make_rule(2, (0,), ([[0], [2]], [0, 1]), 0), "neighborhood key (2,) out of range"),
+        (lambda: Cyclic(()), "cyclic word must be non-empty"),
+        (lambda: BiPeriodic((), (1,), 0, (0,)), "background words must be non-empty"),
+    ],
+    ids=["empty-neighborhood", "quiescent", "untupled-key", "key-pairs", "empty-cyclic", "empty-background"],
+)
+def test_constructors_name_the_fault(build, error):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == error
+
+
 def test_make_rule_accepts_computed_locals():
     rule = xor_ncca()
     assert rule.state_count == 16

@@ -77,6 +77,21 @@ def test_malformed_records(bad):
         parse_configuration(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("", "empty record"),
+        ("finite q#=0 @0 1", "expected '@<offset>:' after the quiescent cell"),
+        ("biperiodic left=1 center@0 right=1", "expected 'center@<offset>=...'"),
+        ("biperiodic left=1 center@x=2 right=1", "bad center offset 'x'"),
+    ],
+)
+def test_malformed_records_name_the_fault(bad, error):
+    with pytest.raises(ConfigParseError) as err:
+        parse_configuration(bad, 4)
+    assert str(err.value) == f"line 4: {error}"
+
+
 def test_pair_past_int_digit_limit_raises_its_own_error():
     # int() refuses decimals this long; the literal is named as bad, not
     # left to escape as a plain ValueError.

@@ -3,7 +3,8 @@ per-line versions they replaced.
 
 ``reference_*`` below are the earlier ``formats`` tokenizer and
 formatter, the earlier ``cli._parse_ncca`` and the mapping checks of the
-earlier ``engine.make_rule``, kept verbatim apart from their names.  On
+earlier ``engine.make_rule``, kept verbatim apart from their names and the ``.ncca`` error class,
+``rpca.RuleParseError`` in both.  On
 any record or file the new parsers must give an equal result, or raise
 the same exception type with the same message and line.  Only the typed
 parse errors may escape the configuration parser.
@@ -12,6 +13,7 @@ parse errors may escape the configuration parser.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from rncca import cli
 from rncca.convert import NEIGHBORHOOD
 from rncca.engine import BiPeriodic, Cyclic, Finite
 from rncca.formats import ConfigParseError, format_configuration, parse_configuration_text
+from rncca.rpca import RuleParseError
 
 
 def reference_cell_text(cell):
@@ -185,29 +188,29 @@ def reference_parse_ncca(text):
         tokens = line.split()
         if header is None:
             if tokens[0] != "ncca":
-                raise cli.NccaParseError("expected an 'ncca ...' header", line_no)
+                raise RuleParseError("expected an 'ncca ...' header", line_no)
             fields = dict(token.split("=", 1) for token in tokens[1:] if "=" in token)
             try:
                 header = int(fields["states"])
             except (KeyError, ValueError):
-                raise cli.NccaParseError("header must carry states=<int>", line_no) from None
+                raise RuleParseError("header must carry states=<int>", line_no) from None
             continue
         if tokens[0] in ("bc", "br"):
             continue
         if tokens[0] == "t":
             if len(tokens) != 7 or tokens[5] != "->":
-                raise cli.NccaParseError("expected 't a b c d -> q'", line_no)
+                raise RuleParseError("expected 't a b c d -> q'", line_no)
             try:
                 key = tuple(int(v) for v in tokens[1:5])
                 table[key] = int(tokens[6])
             except ValueError:
-                raise cli.NccaParseError("transition fields must be integers", line_no) from None
+                raise RuleParseError("transition fields must be integers", line_no) from None
             continue
-        raise cli.NccaParseError(f"unknown line kind {tokens[0]!r}", line_no)
+        raise RuleParseError(f"unknown line kind {tokens[0]!r}", line_no)
     if header is None:
-        raise cli.NccaParseError("missing 'ncca ...' header", 1)
+        raise RuleParseError("missing 'ncca ...' header", 1)
     if not table:
-        raise cli.NccaParseError(
+        raise RuleParseError(
             "no transition table; re-run convert with --dump-table to make the file runnable", 1
         )
     return reference_make_table(header, table)
@@ -379,6 +382,13 @@ def test_ncca_edge_files_load_as_before():
         "ncca states=2\nt 0 0 0 0 -> 0\nt 0 0 0 0 -> 1",
     ):
         assert outcome(ncca_table, text) == outcome(reference_parse_ncca, text), text
+
+
+def test_ncca_parse_errors_are_rule_parse_errors():
+    # One error class for both rule formats, naming the line.
+    with pytest.raises(RuleParseError) as err:
+        cli._parse_ncca("ncca states=16\nx 1\n")
+    assert (err.value.line, str(err.value)) == (2, "line 2: unknown line kind 'x'")
 
 
 def test_dumped_ncca_loads_in_bulk(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -54,6 +55,38 @@ def test_make_rpca_rejects_partial_table():
         make_rpca(2, 2, {(0, 0): (0, 0)})
 
 
+class ItemList(Mapping):
+    """A mapping read from a list of (key, value) items, a repeated key
+    kept, as only a hand-made mapping can hold one."""
+
+    def __init__(self, items):
+        self.items_list = items
+
+    def __getitem__(self, key):
+        return dict(self.items_list)[key]
+
+    def __iter__(self):
+        return (key for key, _ in self.items_list)
+
+    def __len__(self):
+        return len(self.items_list)
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ({(2, 0): (0, 0)}, "input pair (2, 0) out of range"),
+        ({(0, 0): (0, 0), (0, 1): (0, 2)}, "output pair (0, 2) for (0, 1) out of range"),
+        (ItemList([((0, 0), (0, 0)), ((0, 0), (0, 0))]), "duplicate entry for input pair (0, 0)"),
+    ],
+    ids=["input-out-of-range", "output-out-of-range", "duplicate"],
+)
+def test_make_rpca_names_the_bad_entry(table, error):
+    with pytest.raises(ValueError) as err:
+        make_rpca(2, 2, table)
+    assert str(err.value) == error
+
+
 def test_identity_step_shifts_right_parts():
     p = example_rpca("identity")
     cfg = Finite(0, [(1, 1)], QUIESCENT_PAIR)
@@ -76,6 +109,12 @@ def test_quiescent_stability():
 def test_step_rejects_bad_cells():
     with pytest.raises(ValueError):
         step_rpca(XOR, Finite(0, [(2, 0)], QUIESCENT_PAIR))
+
+
+def test_step_refuses_a_finite_background_other_than_the_quiescent_pair():
+    with pytest.raises(ValueError) as err:
+        step_rpca(XOR, Finite(0, [(1, 0)], (1, 1)))
+    assert str(err.value) == "partitioned configurations use quiescent pair (0, 0)"
 
 
 @pytest.mark.parametrize("step", [lambda c: step_rpca(XOR, c), invert_rpca(XOR).step_back])
@@ -234,6 +273,14 @@ def test_rule_text_duplicate_entry():
 def test_rule_text_missing_header():
     with pytest.raises(RuleParseError):
         parse_rpca("0 0 -> 0 0\n")
+
+
+def test_rule_text_that_moves_the_quiescent_pair_is_refused_at_line_1():
+    text = "rpca C=2 R=2\n0 0 -> 0 1\n0 1 -> 0 0\n1 0 -> 1 0\n1 1 -> 1 1\n"
+    with pytest.raises(RuleParseError) as err:
+        parse_rpca(text)
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: quiescent pair (0, 0) must be a fixed point, maps to (0, 1)"
 
 
 def test_rule_text_incomplete_table():

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import rncca.verify as verify
-from rncca.convert import convert, encode_tau
-from rncca.engine import Cyclic, Finite, make_rule, run
+from rncca.convert import convert, encode_tau, encode_tau_prime
+from rncca.engine import Cyclic, Finite, canonicalize, make_rule, run
 from rncca.rpca import QUIESCENT_PAIR, example_rpca
 from rncca.verify import (
     check_injective_cyclic,
@@ -135,7 +136,8 @@ def test_inject_sampled_mode_runs():
     assert report.passed
 
 
-@pytest.mark.parametrize(
+# Every oracle in a given mode, with no sample count.
+CHECKS = pytest.mark.parametrize(
     "check",
     [
         lambda mode: check_number_conserving(XOR_RULE, mode=mode, max_support=2),
@@ -146,6 +148,9 @@ def test_inject_sampled_mode_runs():
     ],
     ids=["conserve", "inject", "simulate", "tauprime-k", "tauprime-gaps"],
 )
+
+
+@CHECKS
 def test_unknown_mode_is_refused(check, monkeypatch):
     # Refused with the bounds, before the rule is converted or swept.
     def no_convert(p):
@@ -154,6 +159,13 @@ def test_unknown_mode_is_refused(check, monkeypatch):
     monkeypatch.setattr(verify, "convert", no_convert)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         check("bogus")
+
+
+@CHECKS
+def test_sampled_mode_without_a_count_is_refused(check):
+    with pytest.raises(ValueError) as err:
+        check("sampled")
+    assert str(err.value) == "sampled mode needs a count"
 
 
 def test_any_reversible_table_converts_to_passing_rule():
@@ -232,6 +244,21 @@ def test_tauprime_period_holds_for_random_rule():
     assert "period=3" in report.domain
 
 
+@pytest.mark.parametrize(
+    "spacing, error",
+    [
+        (dict(k=3, gaps=[1]), "give exactly one of k and gaps"),
+        ({}, "give exactly one of k and gaps"),
+        (dict(k=1), "uniform spacing needs k >= 3 (k = 2 delegates to simulate)"),
+    ],
+    ids=["both", "neither", "k=1"],
+)
+def test_tauprime_refuses_a_bad_spacing(spacing, error):
+    with pytest.raises(ValueError) as err:
+        check_tau_prime_correspondence(XOR, max_support=2, steps=1, **spacing)
+    assert str(err.value) == error
+
+
 def test_tauprime_gap_mode_mass_conservation():
     report = check_tau_prime_correspondence(XOR, gaps=[1, 3], mode="exhaustive", steps=12)
     assert report.passed
@@ -253,6 +280,35 @@ def test_mass_ledger_worked_example():
     ok, full = ledger_is_constant(CODE22, traj)
     assert ok
     assert full.rows[0][1:] == (36, 9)
+
+
+# Starts of the seeded 2x3 rule encoded with gaps [2], and which ledger
+# windows, in ``_WIDENINGS`` order, stay constant over 8 steps.
+WIDENED_STARTS = [
+    (((0, 2), (1, 0)), [True, True, True, True]),
+    (((0, 1), (0, 0)), [False, True, False, True]),
+    (((0, 0), (0, 1)), [False, False, True, True]),
+    (((0, 1), (0, 1)), [False, False, False, True]),
+]
+
+
+@pytest.mark.parametrize("word, constant", WIDENED_STARTS, ids=["aligned", "left", "right", "both"])
+def test_ledger_reports_the_first_constant_window_in_widening_order(word, constant):
+    p = example_rpca("random", c_size=2, r_size=3, seed=1)
+    rule = convert(p)
+    cfg = encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=[2])
+    trajectory = run(rule, cfg, 8)
+    a, b = verify._aligned_window(canonicalize(cfg))
+    windows = [(a + da, b + db) for da, db in verify._WIDENINGS]
+    steady = [
+        len({row[1] for row in led.rows}) == 1 and len({row[2] for row in led.rows}) == 1
+        for led in (mass_ledger(rule.code, trajectory, w) for w in windows)
+    ]
+    assert steady == constant
+    ok, ledger = ledger_is_constant(rule.code, trajectory)
+    assert ok and ledger.window == windows[constant.index(True)]
+    codes = np.array([[c * p.r_size + r for c, r in word]])
+    assert not verify._ledger_failures(p, rule, [2], codes, 8).any()
 
 
 def test_mass_ledger_quiescent_trajectory():
