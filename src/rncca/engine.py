@@ -240,42 +240,29 @@ def _flat_table(s, m, keys, outputs):
     key in that order that is out of range or maps out of range.
     """
     size = s**m
-    if size > len(keys):
-        distinct = len(set(map(tuple, keys.tolist())))
-        raise ValueError(f"local map must cover all {size} neighborhoods, got {distinct}")
-    weights = (s ** np.arange(m - 1, -1, -1)).astype(np.int64)
+    # The length test comes first: s ** arange(m) overflows int64 for a
+    # header such as states=10**19, whose table is always too short.
     if (
         len(keys) == len(outputs) == size
         and keys.min() >= 0
         and keys.max() < s
         and outputs.min() >= 0
         and outputs.max() < s
-        and np.array_equal(keys @ weights, np.arange(size))
+        and np.array_equal(keys @ s ** np.arange(m - 1, -1, -1), np.arange(size))
     ):
         # Every neighborhood once, in order, to a state: the outputs are
         # the table, with no sort.
         return outputs.astype(np.int64)
-    inside = ((keys >= 0) & (keys < s)).all(axis=1)
-    idx = keys[inside].astype(np.int64) @ weights
-    order = np.argsort(idx, kind="stable")
-    starts = np.ones(len(idx), dtype=bool)
-    starts[1:] = idx[order[1:]] != idx[order[:-1]]
-    outside = np.flatnonzero(~inside)
-    distinct = int(starts.sum()) + len(set(map(tuple, keys[outside].tolist())))
-    if distinct != size:
-        raise ValueError(f"local map must cover all {size} neighborhoods, got {distinct}")
-    where = np.flatnonzero(inside)
-    first = where[order[starts]]
-    values = outputs[where[order[np.roll(starts, -1)]]]  # each key's last output
-    mapped_out = first[(values < 0) | (values >= s)]
-    if outside.size or mapped_out.size:
-        p = int(np.concatenate([outside[:1], mapped_out]).min())
-        key = tuple(keys[p].tolist())
-        if not inside[p]:
+    table = dict(zip(map(tuple, keys.tolist()), outputs.tolist(), strict=True))
+    if len(table) != size:
+        raise ValueError(f"local map must cover all {size} neighborhoods, got {len(table)}")
+    for key, value in table.items():
+        if min(key) < 0 or max(key) >= s:
             raise ValueError(f"neighborhood key {key} out of range")
-        raise ValueError(f"output {values[first == p][0]} for neighborhood {key} out of range")
+        if not 0 <= value < s:
+            raise ValueError(f"output {value} for neighborhood {key} out of range")
     flat = np.empty(size, dtype=np.int64)
-    flat[idx[order[starts]]] = values
+    flat[np.ravel_multi_index(np.array(list(table), dtype=np.int64).T, (s,) * m)] = list(table.values())
     return flat
 
 

@@ -238,6 +238,11 @@ MOVES_QUIESCENT = "rpca C=2 R=2\n0 0 -> 0 1\n0 1 -> 0 0\n1 0 -> 1 0\n1 1 -> 1 1\
     [
         (MALFORMED_NCCA, ["verify", "{rule}", "conserve"], UNKNOWN_KIND),
         (MALFORMED_NCCA, ["run", "{rule}", "{golden}/finite.cfg", "--steps", "1"], UNKNOWN_KIND),
+        (
+            "ncca states=2\nt 0 0 0 x -> 0\n",
+            ["verify", "{rule}", "conserve"],
+            "line 2: transition fields must be integers",
+        ),
         (IDENTITY_10X11, ["verify", "{rule}", "simulate"], OVER_LIMIT),
         (IDENTITY_10X11, ["run", "{rule}", "{golden}/finite.cfg", "--steps", "1"], OVER_LIMIT),
         (
@@ -246,7 +251,7 @@ MOVES_QUIESCENT = "rpca C=2 R=2\n0 0 -> 0 1\n0 1 -> 0 0\n1 0 -> 1 0\n1 1 -> 1 1\
             "line 1: quiescent pair (0, 0) must be a fixed point, maps to (0, 1)",
         ),
     ],
-    ids=["ncca-verify", "ncca-run", "over-limit-verify", "over-limit-run", "moves-quiescent"],
+    ids=["ncca-verify", "ncca-run", "ncca-fields", "over-limit-verify", "over-limit-run", "moves-quiescent"],
 )
 def test_rule_file_refusals_exit_with_one_error_line(tmp_path, capsys, text, args, error):
     rule = tmp_path / "rule.txt"

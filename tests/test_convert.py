@@ -112,6 +112,27 @@ def test_phi_inverse_rejects_wrong_codomain():
         phi_inverse(CODE22, "hat", 7)  # hat heavy but check light
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ParticleCode(0, 1), "part state sets must be non-empty"),
+        (lambda: compose(CODE22, 3, 0), "3 is not a heavy mass"),
+        (lambda: compose(CODE22, 0, 4), "4 is not a light mass"),
+        (lambda: phi(CODE22, "hatt", 0, 0), "unknown variant 'hatt'"),
+        (lambda: phi_inverse(CODE22, "hatt", 0), "unknown variant 'hatt'"),
+        (
+            lambda: encode_tau(CODE22, Finite(0, [(1.5, 0)], QUIESCENT_PAIR)),
+            "cell (1.5, 0) is not a (c, r) pair of integers",
+        ),
+    ],
+    ids=["empty-part", "heavy", "light", "phi-variant", "phi-inverse-variant", "float-cell"],
+)
+def test_code_arithmetic_names_the_fault(build, error):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == error
+
+
 def test_convert_rejects_non_injective():
     table = {(c, r): (0, 0) for c in range(2) for r in range(2)}
     with pytest.raises(ValueError):

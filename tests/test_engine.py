@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from rncca.engine import (
     BiPeriodic,
     Cyclic,
     Finite,
+    Trajectory,
     canonicalize,
     cell_at,
     make_rule,
@@ -56,6 +58,12 @@ def test_make_rule_rejects_partial_table():
         make_rule(2, (0,), {(0,): 0}, 0)
 
 
+def pairs_and(key, count=3):
+    """A 2-state, 2-offset mapping of the first ``count`` pairs in order,
+    then ``key`` as its last key."""
+    return {**{hood: 0 for hood in itertools.islice(itertools.product(range(2), repeat=2), count)}, key: 1}
+
+
 @pytest.mark.parametrize(
     "build, error",
     [
@@ -63,15 +71,113 @@ def test_make_rule_rejects_partial_table():
         (lambda: make_rule(2, (0,), lambda x: x, 2), "quiescent state 2 out of range for 2 states"),
         (lambda: make_rule(2, (0,), {0: 0, 1: 1}, 0), "local map keys must be 1-tuples, got 0"),
         (lambda: make_rule(2, (0,), ([[0], [2]], [0, 1]), 0), "neighborhood key (2,) out of range"),
+        (lambda: make_rule(2, (0,), ([[1], [0], [1]], [1, 0]), 0), "zip() argument 2 is shorter than argument 1"),
+        (lambda: make_rule(2, (0,), ([[0], [1]], [0, 1, 1]), 0), "zip() argument 2 is longer than argument 1"),
+        (lambda: make_rule(2, (0, 1), pairs_and((1, 1, 1)), 0), "neighborhood key (1, 1, 1) out of range"),
+        (lambda: make_rule(2, (0, 1), pairs_and((1, 1.0)), 0), "neighborhood key (1, 1.0) out of range"),
+        (lambda: make_rule(2, (0, 1), pairs_and((1, 1, 1), 2), 0), "local map must cover all 4 neighborhoods, got 3"),
+        (lambda: make_rule(2, (0, 1), pairs_and((1, 1.0), 2), 0), "local map must cover all 4 neighborhoods, got 3"),
         (lambda: Cyclic(()), "cyclic word must be non-empty"),
         (lambda: BiPeriodic((), (1,), 0, (0,)), "background words must be non-empty"),
     ],
-    ids=["empty-neighborhood", "quiescent", "untupled-key", "key-pairs", "empty-cyclic", "empty-background"],
+    ids=[
+        "empty-neighborhood",
+        "quiescent",
+        "untupled-key",
+        "key-pairs",
+        "short-outputs",
+        "long-outputs",
+        "long-key",
+        "float-key",
+        "long-key-short-map",
+        "float-key-short-map",
+        "empty-cyclic",
+        "empty-background",
+    ],
 )
 def test_constructors_name_the_fault(build, error):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == error
+
+
+TABLE_SHAPES = [(s, m) for s in range(1, 17) for m in range(1, 9) if s**m <= 256]
+
+
+def dict_walk_refusal(entries, s):
+    """The refusal of the table that is the dict built from ``entries`` in
+    order, its keys walked in first-place order; None if there is none."""
+    table = dict(entries)
+    size = s ** len(entries[0][0])
+    if len(table) != size:
+        return f"local map must cover all {size} neighborhoods, got {len(table)}"
+    for key, value in table.items():
+        if any(not 0 <= x < s for x in key):
+            return f"neighborhood key {key} out of range"
+        if not 0 <= value < s:
+            return f"output {value} for neighborhood {key} out of range"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tables_in_any_order_build_the_rule_of_their_dict(data):
+    # The table in neighborhood order takes make_rule's in-order path; a
+    # permuted one, or one with repeated keys, is read as its dict.
+    s, m = data.draw(st.sampled_from(TABLE_SHAPES))
+    hoods = list(itertools.product(range(s), repeat=m))
+    outputs = [0] + data.draw(st.lists(st.integers(0, s - 1), min_size=len(hoods) - 1, max_size=len(hoods) - 1))
+    in_order = list(zip(hoods, outputs))
+
+    def build(entries):
+        keys = np.array([key for key, _ in entries]).reshape(-1, m)
+        return make_rule(s, tuple(range(m)), (keys, np.array([value for _, value in entries])), 0)
+
+    permuted = data.draw(st.permutations(in_order))
+    # A repeated key keeps its first place and takes its last output, so
+    # its earlier outputs may lie out of range.
+    repeated = data.draw(st.lists(st.sampled_from(hoods), min_size=1, max_size=6, unique=True))
+    repeats = [(key, data.draw(st.sampled_from([-1, s]))) if key in repeated else (key, value) for key, value in permuted]
+    repeats += [(key, data.draw(st.integers(-2, s + 1))) for key in data.draw(st.lists(st.sampled_from(repeated)))]
+    repeats += [(key, dict(in_order)[key]) for key in repeated]
+    columns = [np.array(column) for column in zip(*hoods)]
+    for entries in (in_order, permuted, repeats):
+        rule = build(entries)
+        assert [rule.local(*hood) for hood in hoods] == outputs
+        assert rule.local_batch(columns).tolist() == outputs
+
+    # One or two faults, each an out-of-range key or an out-of-range last
+    # output: the refusal names the first faulty entry in first-place order.
+    faulty = repeats
+    for target in data.draw(st.lists(st.sampled_from(hoods), min_size=1, max_size=2, unique=True)):
+        bad = data.draw(st.sampled_from([-1, s]))
+        if data.draw(st.booleans()):
+            spot = data.draw(st.integers(0, m - 1))
+            bad_key = target[:spot] + (bad,) + target[spot + 1 :]
+            faulty = [(bad_key if key == target else key, value) for key, value in faulty]
+        else:
+            last = max(i for i, (key, _) in enumerate(faulty) if key == target)
+            faulty = faulty[:last] + [(target, bad)] + faulty[last + 1 :]
+    refusal = dict_walk_refusal(faulty, s)
+    assert refusal is not None
+    with pytest.raises(ValueError) as err:
+        build(faulty)
+    assert str(err.value) == refusal
+
+
+def test_table_rules_refuse_states_outside_the_table():
+    rule = make_rule(2, (0, 1), {hood: hood[0] & hood[1] for hood in itertools.product(range(2), repeat=2)}, 0)
+    for hood in ((2, 0), (-1, 0)):
+        with pytest.raises(KeyError):
+            rule.local(*hood)
+
+
+def test_trajectories_have_no_other_attributes():
+    ran = run(right_shift(), Finite(0, [1], 0), 2)
+    built = Trajectory(right_shift(), (Finite(0, (1,), 0),))
+    for trajectory in (ran, built):
+        with pytest.raises(AttributeError, match="^'Trajectory' object has no attribute 'nope'$"):
+            trajectory.nope
 
 
 def test_make_rule_accepts_computed_locals():

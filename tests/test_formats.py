@@ -1,6 +1,6 @@
 import pytest
 
-from rncca.engine import BiPeriodic, Cyclic, Finite
+from rncca.engine import BiPeriodic, Cyclic, Finite, canonicalize
 from rncca.formats import (
     ConfigParseError,
     format_configuration,
@@ -97,3 +97,10 @@ def test_pair_past_int_digit_limit_raises_its_own_error():
     # left to escape as a plain ValueError.
     with pytest.raises(ConfigParseError, match=r"^line 1: bad pair literal '\(3,9999"):
         parse_configuration(f"cyclic: (1,2),(3,{'9' * 5000})")
+
+
+@pytest.mark.parametrize("function", [canonicalize, format_configuration])
+def test_non_configurations_are_type_errors(function):
+    with pytest.raises(TypeError) as err:
+        function("x")
+    assert str(err.value) == "not a configuration: 'x'"

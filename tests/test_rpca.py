@@ -87,6 +87,24 @@ def test_make_rpca_names_the_bad_entry(table, error):
     assert str(err.value) == error
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: make_rpca(0, 2, {}), "part state sets must be non-empty"),
+        (lambda: example_rpca("xor", 3, 2), "the xor rule is defined for c_size=r_size=2"),
+        (
+            lambda: parse_rpca("rpca C=2 R=2\n0 0 -> 0 0\n0 1 -> 2 1\n"),
+            "line 3: output pair (2, 1) out of range",
+        ),
+    ],
+    ids=["empty-part", "xor-sizes", "parsed-output"],
+)
+def test_rule_builders_name_the_fault(build, error):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == error
+
+
 def test_identity_step_shifts_right_parts():
     p = example_rpca("identity")
     cfg = Finite(0, [(1, 1)], QUIESCENT_PAIR)
