@@ -247,22 +247,15 @@ def cmd_convert(args):
     code = ParticleCode(p.c_size, p.r_size)
     digest = hashlib.sha256(text.encode()).hexdigest()
     neighborhood = ",".join(str(n) for n in NEIGHBORHOOD)
+    s = code.state_count
     lines = [
-        f"ncca C={p.c_size} R={p.r_size} states={code.state_count}"
+        f"ncca C={p.c_size} R={p.r_size} states={s}"
         f" neighborhood={neighborhood} phi=canonical source={digest}"
     ]
     if args.dump_balanced_pairs:
-        s = code.state_count
-        for q1 in range(s):
-            for q2 in range(s):
-                if is_balanced_heavy(code, q1, q2):
-                    lines.append(f"bc {q1} {q2}")
-        for q1 in range(s):
-            for q2 in range(s):
-                if is_balanced_light(code, q1, q2):
-                    lines.append(f"br {q1} {q2}")
+        for kind, balanced in (("bc", is_balanced_heavy), ("br", is_balanced_light)):
+            lines += [f"{kind} {q1} {q2}" for q1 in range(s) for q2 in range(s) if balanced(code, q1, q2)]
     if args.dump_table:
-        s = code.state_count
         if s**4 > _DUMP_LIMIT:
             raise ValueError(f"refusing to dump {s ** 4} transitions; the rule stays computed")
         # Every neighborhood (a, b, c, d) in order, d fastest.

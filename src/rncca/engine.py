@@ -236,8 +236,11 @@ def _flat_table(s, m, keys, outputs):
     ``keys`` (n x m) and ``outputs``, read like the dict built from them:
     a repeated key keeps its first place and its last output.
 
-    Raises make_rule's totality error, then its range error for the first
-    key in that order that is out of range or maps out of range.
+    Keys that cover every neighborhood once, outputs in range, fill the
+    table from the arrays in any order.  Any other table is read as its
+    dict, which raises make_rule's totality error, then its range error
+    for the first key in that order that is out of range or maps out of
+    range.
     """
     size = s**m
     # The length test comes first: s ** arange(m) overflows int64 for a
@@ -248,11 +251,15 @@ def _flat_table(s, m, keys, outputs):
         and keys.max() < s
         and outputs.min() >= 0
         and outputs.max() < s
-        and np.array_equal(keys @ s ** np.arange(m - 1, -1, -1), np.arange(size))
     ):
-        # Every neighborhood once, in order, to a state: the outputs are
-        # the table, with no sort.
-        return outputs.astype(np.int64)
+        # As many keys as neighborhoods, all in range: when they cover
+        # every slot (none stays -1), none repeats and the dict would
+        # give the same table.
+        index = (keys @ s ** np.arange(m - 1, -1, -1)).astype(np.intp)
+        flat = np.full(size, -1, dtype=np.int64)
+        flat[index] = outputs
+        if flat.min() >= 0:
+            return flat
     table = dict(zip(map(tuple, keys.tolist()), outputs.tolist(), strict=True))
     if len(table) != size:
         raise ValueError(f"local map must cover all {size} neighborhoods, got {len(table)}")
@@ -487,12 +494,14 @@ def _shrink_step(batch, nb, rows):
 def _run_rows(rule, cfg, steps):
     """The ``Trajectory.rows`` of t = 0..steps, stepped as numpy rows.
 
-    Cyclic words step as rings, padded by their wrapped cells with one
-    gather per step.  Otherwise the start is padded once to the light
-    cone of ``steps`` plus one background period per side; each step
-    then loses (max - min offset) cells, and at every t the row still
-    holds the whole center with one period of each stepped background
-    at its ends, as ``_row_config`` and ``window_matrix`` read it.
+    Cyclic words step as rings: before each step, the row gathers its
+    wrapped cells through one ring index, and the image is the word at
+    x0 = 0 again.  Otherwise the start is padded once to the light cone
+    of ``steps`` plus one background period per side, and each step
+    takes the whole row; it loses (max - min offset) cells, and at every
+    t the row still holds the whole center with one period of each
+    stepped background at its ends, as ``_row_config`` and
+    ``window_matrix`` read it.
     """
     nb = rule.neighborhood
     batch = _batch_of(rule)
@@ -500,21 +509,17 @@ def _run_rows(rule, cfg, steps):
     if isinstance(cfg, Cyclic):
         row = np.array(cfg.word, dtype=np.intp)
         n = len(row)
-        ring = np.arange(lo, n + hi) % n
-        rows = [(0, row)]
-        for _ in range(steps):
-            row = _shrink_step(batch, nb, row[ring])
-            rows.append((0, row))
-        return rows
-    left, center, c0, right = _parts(cfg)
-    c1, nl, nr = c0 + len(center), len(left), len(right)
-    wl, wr = window_growth(nb)
-    start = c0 - nl - (wl - lo) * steps
-    row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
+        start, ring, shift = 0, np.arange(lo, n + hi) % n, 0
+    else:
+        left, center, c0, right = _parts(cfg)
+        c1, nl, nr = c0 + len(center), len(left), len(right)
+        wl, wr = window_growth(nb)
+        start, ring, shift = c0 - nl - (wl - lo) * steps, slice(None), lo
+        row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
     rows = [(start, row)]
     for _ in range(steps):
-        row = _shrink_step(batch, nb, row)
-        start -= lo
+        row = _shrink_step(batch, nb, row[ring])
+        start -= shift
         rows.append((start, row))
     return rows
 

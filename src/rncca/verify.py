@@ -334,7 +334,6 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     if rule.quiescent != 0:
         raise ValueError("number conservation sums need quiescent state 0")
     s = rule.state_count
-    name = "conserve"
     if mode == "exhaustive":
         sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
         _check_budget(sum(s**length for length, _ in sweeps), budget)
@@ -345,17 +344,16 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
             for first, cols in _grids(s, length, _CHUNK)
             if (found := _first_unconserved(rule, cols, cyclic))
         )
-        return _report(name, domain, next(failures, None), started)
-    draws = _Draws(seed)
-    domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
-    rows = max(1, _ROW_CELLS // max_support)
-    counterexample = None
-    for first in range(0, count, rows):
-        lengths, cells = draws.words(min(rows, count - first), max_support, s)
-        counterexample = _first_sampled_unconserved(rule, lengths, cells, first)
-        if counterexample:
-            break
-    return _report(name, domain, counterexample, started)
+    else:
+        draws = _Draws(seed)
+        domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
+        rows = max(1, _ROW_CELLS // max_support)
+        failures = (
+            found
+            for first in range(0, count, rows)
+            if (found := _first_sampled_unconserved(rule, *draws.words(min(rows, count - first), max_support, s), first))
+        )
+    return _report("conserve", domain, next(failures, None), started)
 
 
 def _image_keys(rule, cols):
@@ -429,7 +427,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     started = time.perf_counter()
     _check_bounds(mode, count, cycle=n)
     s = rule.state_count
-    name = "inject"
+    counterexample = None
     if mode == "exhaustive":
         total = s**n
         _check_budget(total, budget)
@@ -457,27 +455,26 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
             if np.count_nonzero(seen) < swept:
                 seen[:] = False
                 counterexample = _injectivity_counterexample(rule, n, _least_collision(rule, n, seen))
-                return _report(name, domain, counterexample, started)
-        return _report(name, domain, None, started)
-    draws = _Draws(seed)
-    domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
-    rows = max(1, _ROW_CELLS // n)
-    # Image row -> the first word row with it, both as byte strings.
-    seen = {}
-    counterexample = None
-    for first in range(0, count, rows):
-        words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
-        images = np.ascontiguousarray(_cyclic_images(rule, words))
-        for i, (image, word) in enumerate(zip(_byte_rows(images).tolist(), _byte_rows(words).tolist())):
-            if seen.setdefault(image, word) != word:
-                owner = np.frombuffer(seen[image], words.dtype)
-                counterexample = _collision(
-                    owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
-                )
                 break
-        if counterexample:
-            break
-    return _report(name, domain, counterexample, started)
+    else:
+        draws = _Draws(seed)
+        domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
+        rows = max(1, _ROW_CELLS // n)
+        # Image row -> the first word row with it, both as byte strings.
+        seen = {}
+        for first in range(0, count, rows):
+            words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
+            images = np.ascontiguousarray(_cyclic_images(rule, words))
+            for i, (image, word) in enumerate(zip(_byte_rows(images).tolist(), _byte_rows(words).tolist())):
+                if seen.setdefault(image, word) != word:
+                    owner = np.frombuffer(seen[image], words.dtype)
+                    counterexample = _collision(
+                        owner.tolist(), words[i].tolist(), _word_literal(images[i].tolist(), True)
+                    )
+                    break
+            if counterexample:
+                break
+    return _report("inject", domain, counterexample, started)
 
 
 def _start_rows(p, mode, max_support, count, seed, rows, exact=False):
@@ -528,8 +525,9 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     so rows are equal exactly when the canonical configurations are.
     """
     code = rule.code
-    # Source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
-    forward = p._forward.local_batch
+    # Source step on codes, offsets (0, -1): the pair at x becomes
+    # table[c(x)][r(x - 1)].
+    forward = p._forward
     # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
     blocks = np.zeros((len(p._pairs), k), dtype=np.min_scalar_type(code.state_count - 1))
     blocks[:, :2] = _block_values(code, p._pairs)
@@ -539,10 +537,11 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     source = np.zeros((n, left + length + right), dtype=np.intp)
     source[:, left : left + length] = words
     encoded = [blocks[source].reshape(n, -1)]
+    # The source rows after one quiescent column, cell x - 1 of their first cell.
+    padded = np.zeros((n, source.shape[1] + 1), dtype=np.intp)
     for _ in range(steps):
-        before = np.zeros_like(source)  # cell x - 1; quiescent left of the row
-        before[:, 1:] = source[:, :-1]
-        source = forward([source, before])
+        padded[:, 1:] = source
+        source = engine._shrink_step(forward.local_batch, forward.neighborhood, padded)
         encoded.append(blocks[source].reshape(n, -1))
     compared = {}
     for i, q in enumerate(periods):
@@ -584,21 +583,14 @@ def _track_start(p, rule, k, codes, periods, steps):
     ]
     if surviving:
         return surviving, None
-    t_bad = next(
-        (t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]),
-        None,
-    )
+    t_bad = next((t for t in range(1, steps + 1) if trajectory[k * t] != encoded[t]), None)
     if t_bad is None:
-        return [], Counterexample(
-            input=format_configuration(alpha),
-            expected=f"one period q <= {4 * k} working for every start",
-            actual="no candidate period survives this start",
-        )
-    return [], Counterexample(
-        input=format_configuration(alpha),
-        expected=f"t={t_bad} {format_configuration(encoded[t_bad])}",
-        actual=f"t={t_bad} {format_configuration(trajectory[k * t_bad])}",
-    )
+        expected = f"one period q <= {4 * k} working for every start"
+        actual = "no candidate period survives this start"
+    else:
+        expected = f"t={t_bad} {format_configuration(encoded[t_bad])}"
+        actual = f"t={t_bad} {format_configuration(trajectory[k * t_bad])}"
+    return [], Counterexample(format_configuration(alpha), expected, actual)
 
 
 def _confirm(found, swept, codes, what="periods"):
@@ -796,17 +788,15 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     k = int(k)
     if k < 2:
         raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
-    rule = convert(p)
     bounds = f"support<={max_support}", f"steps={steps}"
-    if k == 2:
-        _, counterexample = _spacing_sweep(p, rule, 2, [2], mode, max_support, steps, count, seed)
-        domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)
-        return _report("tauprime", domain, counterexample, started)
-    candidates, counterexample = _spacing_sweep(
-        p, rule, k, list(range(1, 4 * k + 1)), mode, max_support, steps, count, seed
-    )
+    # k = 2 sweeps the one period of ``simulate``, under its own domain.
+    periods = [2] if k == 2 else list(range(1, 4 * k + 1))
+    candidates, counterexample = _spacing_sweep(p, convert(p), k, periods, mode, max_support, steps, count, seed)
     period = min(candidates) if counterexample is None else None
-    domain = _domain(p, mode, count, seed, f"k={k}", *bounds) + f" period={period}"
+    if k == 2:
+        domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)
+    else:
+        domain = _domain(p, mode, count, seed, f"k={k}", *bounds) + f" period={period}"
     if counterexample is None and k not in candidates:
         counterexample = Counterexample(
             input=f"period search over 1..{4 * k}",

@@ -320,6 +320,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify-inject.txt", ["lossy.ncca", "inject", "--cycle", "3"]),
         ("verify-inject-sampled.txt", ["lossy.ncca", "inject", "--cycle", "3", "--sampled", "200", "--seed", "1"]),
         ("verify-conserve.txt", ["leaky.ncca", "conserve", "--support", "2"]),
+        ("verify-conserve-sampled.txt", ["leaky.ncca", "conserve", "--support", "2", "--sampled", "200", "--seed", "1"]),
     ],
 )
 def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
@@ -339,6 +340,7 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-tauprime-k2.txt", ["tauprime", "--spacing", "2", "--support", "2", "--steps", "2"]),
         ("verify-simulate-sampled.txt", ["simulate", "--sampled", "30", "--seed", "2", "--support", "5", "--steps", "3"]),
         ("verify-inject-sampled-pass.txt", ["inject", "--cycle", "4", "--sampled", "40000", "--seed", "1"]),
+        ("verify-conserve-sampled-pass.txt", ["conserve", "--support", "4", "--sampled", "300", "--seed", "1"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):

@@ -129,9 +129,18 @@ def test_tables_in_any_order_build_the_rule_of_their_dict(data):
     outputs = [0] + data.draw(st.lists(st.integers(0, s - 1), min_size=len(hoods) - 1, max_size=len(hoods) - 1))
     in_order = list(zip(hoods, outputs))
 
-    def build(entries):
+    def build_arrays(entries):
         keys = np.array([key for key, _ in entries]).reshape(-1, m)
         return make_rule(s, tuple(range(m)), (keys, np.array([value for _, value in entries])), 0)
+
+    def build_mapping(entries):
+        return make_rule(s, tuple(range(m)), dict(entries), 0)
+
+    def build_numpy_mapping(entries):
+        # numpy integers in keys and outputs; refusals name them as ints.
+        return build_mapping([(tuple(map(np.int64, key)), np.int64(value)) for key, value in entries])
+
+    builders = (build_arrays, build_mapping, build_numpy_mapping)
 
     permuted = data.draw(st.permutations(in_order))
     # A repeated key keeps its first place and takes its last output, so
@@ -141,7 +150,7 @@ def test_tables_in_any_order_build_the_rule_of_their_dict(data):
     repeats += [(key, data.draw(st.integers(-2, s + 1))) for key in data.draw(st.lists(st.sampled_from(repeated)))]
     repeats += [(key, dict(in_order)[key]) for key in repeated]
     columns = [np.array(column) for column in zip(*hoods)]
-    for entries in (in_order, permuted, repeats):
+    for entries, build in itertools.product((in_order, permuted, repeats), builders):
         rule = build(entries)
         assert [rule.local(*hood) for hood in hoods] == outputs
         assert rule.local_batch(columns).tolist() == outputs
@@ -160,9 +169,10 @@ def test_tables_in_any_order_build_the_rule_of_their_dict(data):
             faulty = faulty[:last] + [(target, bad)] + faulty[last + 1 :]
     refusal = dict_walk_refusal(faulty, s)
     assert refusal is not None
-    with pytest.raises(ValueError) as err:
-        build(faulty)
-    assert str(err.value) == refusal
+    for build in builders:
+        with pytest.raises(ValueError) as err:
+            build(faulty)
+        assert str(err.value) == refusal
 
 
 def test_table_rules_refuse_states_outside_the_table():
