@@ -242,9 +242,13 @@ def convert(p):
         return cells[((qm2 % two_r * s + qm1) * s + q0) * two_c + q1 // two_r]
 
     def local_batch(cols):
+        """The table at the columns' summed index terms, added in pairs
+        (q-2 with q1, q-1 with q0) and not in place: the columns may
+        broadcast.  On a sweep's grid each pair spans fewer axes than the
+        whole (a 3-cycle reads one column at -2 and +1), so only the last
+        add is full size."""
         a, b, c, d = cols
-        # Summed, not added in place: the columns may broadcast.
-        return flat.take(ta.take(a) + tb.take(b) + tc.take(c) + td.take(d))
+        return flat.take((ta.take(a) + td.take(d)) + (tb.take(b) + tc.take(c)))
 
     return NccaRule(
         state_count=s,

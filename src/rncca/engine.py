@@ -236,11 +236,11 @@ def _flat_table(s, m, keys, outputs):
     ``keys`` (n x m) and ``outputs``, read like the dict built from them:
     a repeated key keeps its first place and its last output.
 
-    Keys that cover every neighborhood once, outputs in range, fill the
-    table from the arrays in any order.  Any other table is read as its
-    dict, which raises make_rule's totality error, then its range error
-    for the first key in that order that is out of range or maps out of
-    range.
+    Whole-number keys that cover every neighborhood once, outputs in
+    range, fill the table from the arrays in any order.  Any other table
+    is read as its dict, which raises make_rule's totality error, then
+    its range error for the first key in that order that is out of range
+    or fractional, or maps out of range.
     """
     size = s**m
     # The length test comes first: s ** arange(m) overflows int64 for a
@@ -249,6 +249,7 @@ def _flat_table(s, m, keys, outputs):
         len(keys) == len(outputs) == size
         and keys.min() >= 0
         and keys.max() < s
+        and not (keys % 1).any()
         and outputs.min() >= 0
         and outputs.max() < s
     ):
@@ -264,7 +265,7 @@ def _flat_table(s, m, keys, outputs):
     if len(table) != size:
         raise ValueError(f"local map must cover all {size} neighborhoods, got {len(table)}")
     for key, value in table.items():
-        if min(key) < 0 or max(key) >= s:
+        if min(key) < 0 or max(key) >= s or any(x % 1 for x in key):
             raise ValueError(f"neighborhood key {key} out of range")
         if not 0 <= value < s:
             raise ValueError(f"output {value} for neighborhood {key} out of range")

@@ -174,9 +174,13 @@ def _check_budget(total, budget):
 
 def _first_unconserved(rule, cols, cyclic):
     """(index, change) for the first word, in C order over the broadcast
-    ``cols``, whose cell sum one step changes by ``change``; or None."""
-    change = np.zeros(np.broadcast_shapes(*(col.shape for col in cols)), dtype=np.int64)
-    for cell in _image_cells(rule, cols, cyclic):
+    ``cols``, whose cell sum one step changes by ``change``; or None.
+    The image cells go into one accumulator, which starts as the first
+    cell and takes the rest, less the word's cells, in place."""
+    change = np.empty(np.broadcast_shapes(*(col.shape for col in cols)), dtype=np.int64)
+    first, *rest = _image_cells(rule, cols, cyclic)
+    change[...] = first
+    for cell in rest:
         change += cell
     for col in cols:
         change -= col
@@ -359,11 +363,15 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
 def _image_keys(rule, cols):
     """Images of the cyclic words over ``cols`` read as base-s numbers
     (sum of img_i * s**(n-1-i)), flat in C order.  Every partial sum is
-    below s**n, so int32 holds them when s**n does."""
+    below s**n, so int32 holds them when s**n does.  The image cells go
+    into one accumulator, which starts as the first cell and takes the
+    rest by Horner's rule in place."""
     s = rule.state_count
     dtype = np.int32 if s ** len(cols) <= 1 << 31 else np.int64
-    keys = np.zeros(np.broadcast_shapes(*(col.shape for col in cols)), dtype=dtype)
-    for cell in _image_cells(rule, cols, cyclic=True):
+    keys = np.empty(np.broadcast_shapes(*(col.shape for col in cols)), dtype=dtype)
+    first, *rest = _image_cells(rule, cols, cyclic=True)
+    keys[...] = first
+    for cell in rest:
         keys *= s
         keys += cell
     return keys.ravel()

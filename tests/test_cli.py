@@ -341,6 +341,8 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-simulate-sampled.txt", ["simulate", "--sampled", "30", "--seed", "2", "--support", "5", "--steps", "3"]),
         ("verify-inject-sampled-pass.txt", ["inject", "--cycle", "4", "--sampled", "40000", "--seed", "1"]),
         ("verify-conserve-sampled-pass.txt", ["conserve", "--support", "4", "--sampled", "300", "--seed", "1"]),
+        ("verify-inject-pass.txt", ["inject", "--cycle", "3"]),
+        ("verify-conserve-pass.txt", ["conserve", "--support", "3"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):

@@ -180,6 +180,41 @@ def test_batch_local_matches_scalar_random_96():
     assert (got == expect).all()
 
 
+RANDOM_4X6_RULE = convert(example_rpca("random", c_size=4, r_size=6, seed=1))
+# The column shapes the sweeps give local_batch, over four state arrays
+# w, x, y, z on axes 0..3: a digit grid's own axis per position, a
+# 3-cycle's one column read at offsets -2 and +1, and the size-1 zero
+# column that pads a finite word at either end.
+BROADCAST_LAYOUTS = {
+    "axis-per-position": lambda w, x, y, z, zero: [w, x, y, z],
+    "three-cycle": lambda w, x, y, z, zero: [x, y, z, x],
+    "padded-left": lambda w, x, y, z, zero: [zero, zero, y, z],
+    "padded-right": lambda w, x, y, z, zero: [w, x, zero, zero],
+    "padded-both": lambda w, x, y, z, zero: [zero, zero, z, zero],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp], ids=["uint8-draws", "intp-rows"])
+@pytest.mark.parametrize("layout", BROADCAST_LAYOUTS)
+@pytest.mark.parametrize("rule", [XOR_RULE, RANDOM_4X6_RULE], ids=["xor", "random-4x6"])
+def test_batch_local_matches_scalar_on_broadcast_columns(rule, layout, dtype):
+    s = rule.state_count
+    rng = np.random.default_rng(3)
+    # Every state on each axis for xor; twelve of the 96, 0 and 95 among
+    # them, for the 4x6 source.
+    picks = [
+        np.arange(s) if s <= 16 else np.r_[0, s - 1, rng.choice(np.arange(1, s - 1), 10, replace=False)]
+        for _ in range(4)
+    ]
+    axes = [v.astype(dtype).reshape([-1 if a == i else 1 for a in range(4)]) for i, v in enumerate(picks)]
+    cols = BROADCAST_LAYOUTS[layout](*axes, np.zeros((1,) * 4, dtype=dtype))
+    got = rule.local_batch(cols)
+    grid = np.broadcast_arrays(*cols)
+    assert got.shape == grid[0].shape
+    expect = [rule.local(*hood) for hood in zip(*(g.ravel().tolist() for g in grid))]
+    assert got.ravel().tolist() == expect
+
+
 def test_guard_exclusivity_never_trips():
     # The guards are provably disjoint; the built-in assertion must not
     # fire anywhere on the full 16-state window space.

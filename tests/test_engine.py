@@ -101,6 +101,23 @@ def test_constructors_name_the_fault(build, error):
     assert str(err.value) == error
 
 
+@pytest.mark.parametrize(
+    "keys, outputs",
+    [([[0.5], [0.0]], [1, 0]), ([[0.5], [1.0]], [0, 1]), ([[float("nan")], [1.0]], [0, 1])],
+    ids=["truncates-onto-a-key", "covers-when-truncated", "nan"],
+)
+def test_fractional_keys_are_refused_alike_as_arrays_and_as_a_mapping(keys, outputs):
+    # Truncated, the first two tables' keys would fill slot 0 twice, or
+    # each slot once; the arrays form must not read them as whole keys.
+    keys = np.array(keys)
+    refusals = []
+    for local_map in ((keys, np.array(outputs)), dict(zip(map(tuple, keys.tolist()), outputs))):
+        with pytest.raises(ValueError) as err:
+            make_rule(2, (0,), local_map, 0)
+        refusals.append(str(err.value))
+    assert refusals == [f"neighborhood key {tuple(keys[0].tolist())} out of range"] * 2
+
+
 TABLE_SHAPES = [(s, m) for s in range(1, 17) for m in range(1, 9) if s**m <= 256]
 
 

@@ -281,6 +281,13 @@ def test_rule_text_malformed_entry_cites_line():
     assert err.value.line == 3
 
 
+def test_rule_text_entry_with_a_non_integer_field_cites_line():
+    with pytest.raises(RuleParseError) as err:
+        parse_rpca("rpca C=2 R=2\n0 x -> 0 0\n")
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: entry fields must be integers"
+
+
 def test_rule_text_duplicate_entry():
     text = "rpca C=1 R=1\n0 0 -> 0 0\n0 0 -> 0 0\n"
     with pytest.raises(RuleParseError) as err:
