@@ -8,6 +8,10 @@ same verdict and counterexample.
 Exhaustive ``conserve`` and ``inject`` sweep digit grids, not word
 matrices: each word position is ``np.arange(s)`` on its own axis of a
 broadcast grid, so an image cell reads only its neighborhood's axes.
+On cyclic words they evaluate the rule once per word: a global map
+commutes with the shift, so every image cell is a rotation of cell 0
+(up to ``_CELL_ZERO_LIMIT`` entries of cell 0; past it, once per
+position).
 The other oracles step their configurations together as the rows of
 numpy matrices.  Sweeps go in chunks of bounded size and fixed order;
 sampled ones draw every word in the documented order before stepping
@@ -51,6 +55,12 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 18
+# The most entries of a cell-0 array (``_cell_zero``).  Past it the
+# rotated views read across pages and cache lines, and evaluating every
+# position was faster: 64 and 96 states at cycle 4 (16.7M and 85M
+# entries) on a 2 vCPU Xeon with 2 MB of L2, where 48 states (5.3M)
+# still gained from rotating.
+_CELL_ZERO_LIMIT = 1 << 23
 # Cells per row matrix in the sampled and simulation sweeps.
 _ROW_CELLS = 1 << 16
 # Generator outputs per read in the sampled draws.
@@ -118,15 +128,20 @@ def _grids(s, length, chunk):
     the chunk's first word, one column per position).  The columns
     broadcast to a grid (rows, s, ..., s): each trailing position is
     ``np.arange(s)`` on its own axis and the leading ones share axis 0,
-    so the grid's C-order ravel is lexicographic."""
+    so the grid's C-order ravel is lexicographic.  With fewer than s
+    rows, each run of s rows (one value of the leading digits but the
+    last) splits into even chunks, so no chunk crosses from one run to
+    the next."""
     tail = 0
     while tail < length - 1 and s ** (tail + 1) <= chunk:
         tail += 1
     lead = length - tail
     trailing = [np.arange(s).reshape([s if a == t else 1 for a in range(-1, tail)]) for t in range(tail)]
     rows = max(1, chunk // s**tail)
-    for start in range(0, s**lead, rows):
-        idx = np.arange(start, min(start + rows, s**lead)).reshape((-1,) + (1,) * tail)
+    run = s if rows < s else s**lead
+    rows = -(-run // -(-run // rows))
+    for start in (first + r for first in range(0, s**lead, run) for r in range(0, run, rows)):
+        idx = np.arange(start, min(start + rows, start - start % run + run)).reshape((-1,) + (1,) * tail)
         yield start * s**tail, [idx // s ** (lead - 1 - j) % s for j in range(lead)] + trailing
 
 
@@ -172,18 +187,97 @@ def _check_budget(total, budget):
         )
 
 
-def _first_unconserved(rule, cols, cyclic):
-    """(index, change) for the first word, in C order over the broadcast
-    ``cols``, whose cell sum one step changes by ``change``; or None.
-    The image cells go into one accumulator, which starts as the first
-    cell and takes the rest, less the word's cells, in place."""
-    change = np.empty(np.broadcast_shapes(*(col.shape for col in cols)), dtype=np.int64)
-    first, *rest = _image_cells(rule, cols, cyclic)
-    change[...] = first
+def _allocate(size, dtype, words, shorter):
+    """``np.zeros(size, dtype)`` for an exhaustive sweep of ``words``
+    words, or a ValueError that refuses the sweep when it does not fit."""
+    try:
+        return np.zeros(size, dtype=dtype)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"exhaustive sweep of {words} words needs more memory than is available;"
+            f" use sampled mode or a shorter {shorter}"
+        ) from None
+
+
+def _grid_shape(cols):
+    return np.broadcast_shapes(*(col.shape for col in cols))
+
+
+def _cell_zero_axes(nb, n):
+    """The positions of a cyclic word of length n that image cell 0
+    reads, and position 0 itself, whose cell ``conserve`` takes off
+    image cell 0."""
+    return sorted({0, *(d % n for d in nb)})
+
+
+def _cell_zero_size(rule, n):
+    """Entries of the cell-0 array of cyclic length n, or 0 when that is
+    over ``_CELL_ZERO_LIMIT`` and the sweep evaluates every position."""
+    size = rule.state_count ** len(_cell_zero_axes(rule.neighborhood, n))
+    return size if size <= _CELL_ZERO_LIMIT else 0
+
+
+def _cell_zero(rule, n, buffer):
+    """Image cell 0 of every cyclic word of length n, as an array with
+    one axis per word position: s long on the positions of
+    ``_cell_zero_axes``, 1 long on the others; or None over
+    ``_CELL_ZERO_LIMIT``.  It is evaluated chunk by chunk over the grid
+    of those positions, into the front of ``buffer`` and in its dtype."""
+    if not _cell_zero_size(rule, n):
+        return None
+    s = rule.state_count
+    axes = _cell_zero_axes(rule.neighborhood, n)
+    batch = engine._batch_of(rule)
+    for first, cols in _grids(s, len(axes), _CHUNK):
+        shape = _grid_shape(cols)
+        buffer[first : first + np.prod(shape)].reshape(shape)[...] = batch(
+            [cols[axes.index(d % n)] for d in rule.neighborhood]
+        )
+    return buffer[: s ** len(axes)].reshape([s if i in axes else 1 for i in range(n)])
+
+
+def _cyclic_cells(rule, c0, cols):
+    """The image cells of the cyclic words of the ``_grids`` chunk
+    ``cols``: from their cell 0 over all words (``_cell_zero``), else
+    evaluated position by position.  A global map commutes with the
+    shift, so cell i of a word is cell 0 of the word rotated left by i:
+    ``c0`` with its axes rotated by i, cut to the chunk's lead rows.
+    Those share every leading digit but the last (``_grids``), so each
+    cell is a view: the shared digits index their axes and the last
+    one's range slices its axis, each where the cell reads that
+    position."""
+    if c0 is None:
+        return _image_cells(rule, cols, cyclic=True)
+    n = c0.ndim
+    lead = n + 1 - cols[0].ndim
+    *fixed, last = (int(col.flat[0]) for col in cols[:lead])
+    rows = slice(last, int(cols[lead - 1].flat[-1]) + 1)
+    cells = []
+    for i in range(n):
+        cell = c0.transpose([(j - i) % n for j in range(n)])
+        index = [digit if size > 1 else 0 for digit, size in zip(fixed, cell.shape)]
+        cells.append(cell[(*index, rows if cell.shape[lead - 1] > 1 else slice(None))])
+    return cells
+
+
+def _first_unconserved(shape, s, cells, words=()):
+    """(index, change) for the first word, in C order over ``shape``,
+    whose cell sum one step changes by ``change``: the sum of the
+    broadcast ``cells`` less that of the word's cells ``words``, all in
+    0 .. s-1 in magnitude; or None.  The terms go into one accumulator,
+    of the smallest dtype that holds every partial sum, which starts as
+    the first cell and takes the rest in place.  Each term is cast to
+    that dtype on its own shape first: an add that casts a broadcast
+    operand runs numpy's buffered cast loop over the whole grid."""
+    cells = list(cells)
+    dtype = np.min_scalar_type(-(len(cells) + len(words)) * s)
+    change = np.empty(shape, dtype=dtype)
+    first, *rest = cells
+    change[...] = first.astype(dtype, copy=False)
     for cell in rest:
-        change += cell
-    for col in cols:
-        change -= col
+        change += cell.astype(dtype, copy=False)
+    for col in words:
+        change -= col.astype(dtype, copy=False)
     bad = np.flatnonzero(change)
     return (int(bad[0]), int(change.flat[bad[0]])) if bad.size else None
 
@@ -311,7 +405,7 @@ def _first_sampled_unconserved(rule, lengths, cells, first):
         if not members.size:
             continue
         words = np.ascontiguousarray(cells[members, : lengths[members].max()].T)
-        found = _first_unconserved(rule, list(words), is_cyclic)
+        found = _first_unconserved(words.shape[1:], rule.state_count, _image_cells(rule, list(words), is_cyclic), words)
         if found:
             row, change = found
             failures.append((int(members[row]), change, is_cyclic))
@@ -329,7 +423,14 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     translation) plus every cyclic word of length 1..max_support, and
     reports the first word, in that order, whose sum changes.  It
     refuses to start when that is more than ``budget`` words
-    (s**max_support plus s**n for each n <= max_support).
+    (s**max_support plus s**n for each n <= max_support), or when the
+    memory for its cyclic buffer is not there.  A cyclic word of length
+    n changes its sum by the sum, over its n rotations, of what image
+    cell 0 changes cell 0 by (a global map commutes with the shift), so
+    each cyclic length evaluates that change once per word, into the
+    buffer, and adds its rotations; the buffer holds it for the longest
+    length, one byte per word up to 128 states (a length whose cell 0
+    would pass ``_CELL_ZERO_LIMIT`` entries evaluates every position).
     Sampled mode draws ``count`` random configurations, alternating
     finite and cyclic, with lengths up to ``max_support``.
     """
@@ -339,15 +440,28 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
         raise ValueError("number conservation sums need quiescent state 0")
     s = rule.state_count
     if mode == "exhaustive":
-        sweeps = [(max_support, False)] + [(n, True) for n in range(1, max_support + 1)]
-        _check_budget(sum(s**length for length, _ in sweeps), budget)
+        lengths = range(1, max_support + 1)
+        total = s**max_support + sum(s**n for n in lengths)
+        _check_budget(total, budget)
         domain = f"exhaustive states={s} finite words len={max_support} cyclic len<={max_support}"
-        failures = (
-            _conservation_counterexample(_digits(first + found[0], s, length), found[1], cyclic)
-            for length, cyclic in sweeps
-            for first, cols in _grids(s, length, _CHUNK)
-            if (found := _first_unconserved(rule, cols, cyclic))
-        )
+        size = max(_cell_zero_size(rule, n) for n in lengths)
+        buffer = _allocate(size, np.min_scalar_type(-s), total, "support")
+
+        def sweep(length, cyclic):
+            # A cyclic word's sum changes by the sum, over its rotations, of
+            # what image cell 0 changes cell 0 by.
+            net = _cell_zero(rule, length, buffer) if cyclic else None
+            if net is not None:
+                net -= np.arange(s).reshape((s,) + (1,) * (length - 1))
+            for first, cols in _grids(s, length, _CHUNK):
+                if net is None:
+                    found = _first_unconserved(_grid_shape(cols), s, _image_cells(rule, cols, cyclic), cols)
+                else:
+                    found = _first_unconserved(_grid_shape(cols), s, _cyclic_cells(rule, net, cols))
+                if found:
+                    yield _conservation_counterexample(_digits(first + found[0], s, length), found[1], cyclic)
+
+        failures = itertools.chain(sweep(max_support, False), *(sweep(n, True) for n in lengths))
     else:
         draws = _Draws(seed)
         domain = f"sampled states={s} count={count} support<={max_support} seed={seed}"
@@ -360,30 +474,50 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     return _report("conserve", domain, next(failures, None), started)
 
 
-def _image_keys(rule, cols):
-    """Images of the cyclic words over ``cols`` read as base-s numbers
-    (sum of img_i * s**(n-1-i)), flat in C order.  Every partial sum is
-    below s**n, so int32 holds them when s**n does.  The image cells go
-    into one accumulator, which starts as the first cell and takes the
-    rest by Horner's rule in place."""
+def _image_keys(rule, n, c0, cols):
+    """Images of the cyclic words of the ``_grids`` chunk ``cols``, read
+    as base-s numbers (sum of img_i * s**(n-1-i)), flat in C order; the
+    image cells are ``_cyclic_cells``.  Every partial sum is below s**n,
+    so int32 holds them when s**n does.  The cells go into one
+    accumulator in place.  When every cell spans the chunk, it takes
+    them by Horner's rule.  Otherwise each cell is scaled on its own
+    broadcast shape, into one contiguous scratch buffer, and added: a
+    cell that skips a position is smaller than the chunk, and then no
+    full-size pass multiplies the accumulator."""
     s = rule.state_count
-    dtype = np.int32 if s ** len(cols) <= 1 << 31 else np.int64
-    keys = np.empty(np.broadcast_shapes(*(col.shape for col in cols)), dtype=dtype)
-    first, *rest = _image_cells(rule, cols, cyclic=True)
-    keys[...] = first
-    for cell in rest:
-        keys *= s
-        keys += cell
+    dtype = np.int32 if s**n <= 1 << 31 else np.int64
+    keys = np.empty(_grid_shape(cols), dtype=dtype)
+    first, *rest = cells = _cyclic_cells(rule, c0, cols)
+    if all(cell.size == keys.size for cell in cells):
+        keys[...] = first
+        for cell in rest:
+            keys *= s
+            keys += cell
+        return keys.ravel()
+    scratch = np.empty(max(cell.size for cell in cells), dtype=dtype)
+    for i, cell in enumerate(cells):
+        scaled = np.multiply(cell, s ** (n - 1 - i), out=scratch[: cell.size].reshape(cell.shape), dtype=dtype)
+        if i:
+            keys += scaled
+        else:
+            keys[...] = scaled
     return keys.ravel()
 
 
-def _least_collision(rule, n, seen):
-    """The smallest key that two cyclic words of length n step to, for a
-    rule known not to be injective; ``seen`` holds one cleared flag per
+def _key_chunks(rule, n, c0):
+    """(index of the chunk's first word, its image keys) for each
+    ``_grids`` chunk of the cyclic words of length n."""
+    for first, cols in _grids(rule.state_count, n, _CHUNK):
+        yield first, _image_keys(rule, n, c0, cols)
+
+
+def _least_collision(rule, n, c0, seen):
+    """The smallest key that two cyclic words step to, for a rule known
+    not to be injective on them; ``seen`` holds one cleared flag per
     word."""
     collision_key = len(seen)  # above every key
-    for _, cols in _grids(rule.state_count, n, _CHUNK):
-        ordered = np.sort(_image_keys(rule, cols))
+    for _, keys in _key_chunks(rule, n, c0):
+        ordered = np.sort(keys)
         # Keys an earlier chunk had or this one has twice; the first is least.
         hit = seen[ordered]
         hit[:-1] |= ordered[1:] == ordered[:-1]
@@ -397,13 +531,13 @@ def _byte_rows(matrix):
     return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1]))).ravel()
 
 
-def _injectivity_counterexample(rule, n, collision_key):
+def _injectivity_counterexample(rule, n, c0, collision_key):
     """The first two cyclic words, in lexicographic order, whose image
     has key ``collision_key``."""
     s = rule.state_count
     hits = []
-    for first, cols in _grids(s, n, _CHUNK):
-        hits += (first + np.flatnonzero(_image_keys(rule, cols) == collision_key)).tolist()
+    for first, keys in _key_chunks(rule, n, c0):
+        hits += (first + np.flatnonzero(keys == collision_key)).tolist()
         if len(hits) >= 2:
             break
     image = _word_literal(_digits(collision_key, s, n), cyclic=True)
@@ -424,10 +558,16 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     Words are compared exactly, not up to rotation: a collision between
     rotations of one word is still an injectivity violation.  Exhaustive
     mode refuses to start when s**n exceeds the budget or the memory for
-    one flag per word.  It marks the flag of every image and decides by
-    coverage: the rule is injective exactly when all s**n flags are
-    marked.  Only a failing rule is swept again, for the collision with
-    the smallest image (read as a base-s number), which it reports.
+    one flag per word and image cell 0 of every word.  The rule is
+    evaluated once per word, for image cell 0: a global map commutes
+    with the shift, so image cell i of a word is cell 0 of the word
+    rotated left by i, and every pass reads its image keys off
+    rotations of that one array (past ``_CELL_ZERO_LIMIT`` entries, each
+    pass evaluates every position instead).  It marks the flag of every
+    image and decides by coverage: the rule is injective exactly when
+    all s**n flags are marked.  Only a failing rule's keys are read
+    again, for the collision with the smallest image (read as a base-s
+    number), which it reports.
     Sampled mode reports the first draw whose image an earlier, different
     draw already had: it maps each image drawn to the word that first
     had it, walking the draws in order.
@@ -440,21 +580,15 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         total = s**n
         _check_budget(total, budget)
         domain = f"exhaustive states={s} cycle={n} words={total}"
-        try:
-            seen = np.zeros(total, dtype=bool)
-        except (MemoryError, ValueError):
-            raise ValueError(
-                f"exhaustive sweep of {total} words needs more memory than is available;"
-                " use sampled mode or a shorter cycle"
-            ) from None
+        seen = _allocate(total, bool, total, "cycle")
+        c0 = _cell_zero(rule, n, _allocate(_cell_zero_size(rule, n), np.min_scalar_type(s - 1), total, "cycle"))
         # The s**n words have keys in 0 .. s**n - 1, so the rule is injective
         # exactly when their images mark every key (pigeonhole): a sweep
         # that has marked fewer keys than it has swept words has a collision.
         # A count reads every flag, so it is taken after a chunk only once
         # a sixteenth of the words have been swept since the last one.
         swept = counted = 0
-        for _, cols in _grids(s, n, _CHUNK):
-            keys = _image_keys(rule, cols)
+        for _, keys in _key_chunks(rule, n, c0):
             seen[keys] = True
             swept += len(keys)
             if swept - counted < total // 16 and swept < total:
@@ -462,7 +596,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
             counted = swept
             if np.count_nonzero(seen) < swept:
                 seen[:] = False
-                counterexample = _injectivity_counterexample(rule, n, _least_collision(rule, n, seen))
+                counterexample = _injectivity_counterexample(rule, n, c0, _least_collision(rule, n, c0, seen))
                 break
     else:
         draws = _Draws(seed)

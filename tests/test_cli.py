@@ -321,6 +321,10 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify-inject-sampled.txt", ["lossy.ncca", "inject", "--cycle", "3", "--sampled", "200", "--seed", "1"]),
         ("verify-conserve.txt", ["leaky.ncca", "conserve", "--support", "2"]),
         ("verify-conserve-sampled.txt", ["leaky.ncca", "conserve", "--support", "2", "--sampled", "200", "--seed", "1"]),
+        # The first failing word is cyclic: the changed neighborhood has four
+        # nonzero cells, which no finite word of length 3 has.
+        ("verify-conserve-cyclic.txt", ["ring-leaky.ncca", "conserve", "--support", "3"]),
+        ("verify-inject-cycle4.txt", ["lossy.ncca", "inject", "--cycle", "4"]),
     ],
 )
 def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):

@@ -25,7 +25,7 @@ from rncca.cli import main
 from rncca.convert import convert
 from rncca.engine import make_rule
 from rncca.rpca import example_rpca, format_rpca
-from reference_oracles import fields, mutated, reference_conserve, reference_inject
+from reference_oracles import fields, mutated, reached_mutation, reference_conserve, reference_inject
 
 
 def assert_sweeps_match(rule, lengths):
@@ -102,6 +102,67 @@ def test_mutated_derived_rules_match_reference(seed):
         assert fields(verify.check_injective_cyclic(bad, n)) == reference_inject(bad, n)
 
 
+@pytest.mark.parametrize("chunk", ["1", "7", "s", "default"])
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_mutants_match_reference_over_chunks(monkeypatch, chunk, seed):
+    # Derived rules with one reached entry changed, and a .ncca-style
+    # table and callable with one entry changed, over chunks that split
+    # the lead digits (1, 7), that hold one lead digit (s) or everything.
+    rng = random.Random(seed)
+    p = example_rpca("random", 1, 1, seed=seed) if seed % 2 else example_rpca("random", 1, 2, seed=seed)
+    derived = convert(p)
+    rules = [reached_mutation(p, derived, rng, 3, 2)]
+    s = 4
+    keys = list(itertools.product(range(s), repeat=4))
+    table = {key: key[1] for key in keys}
+    table[rng.choice(keys[1:])] = rng.randrange(s)
+    table[(0, 0, 0, 0)] = 0
+    rules.append(make_rule(s, (-2, -1, 0, 1), table, 0))
+    rules.append(make_rule(s, (-2, -1, 0, 1), lambda *cells: table[cells], 0))
+    verdicts = []
+    for rule in rules:
+        s = rule.state_count
+        if chunk != "default":
+            monkeypatch.setattr(verify, "_CHUNK", {"1": 1, "7": 7, "s": s}[chunk])
+        lengths = [n for n in (1, 2, 3, 4) if s**n <= 4096]
+        for length in lengths:
+            report = verify.check_number_conserving(rule, max_support=length)
+            assert fields(report) == reference_conserve(rule, length)
+            verdicts.append(report.passed)
+            report = verify.check_injective_cyclic(rule, length)
+            assert fields(report) == reference_inject(rule, length)
+            verdicts.append(report.passed)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("limit", [0, 4**3 - 1, 4**3])
+def test_cell_zero_limit_picks_rotation_or_every_position_alike(monkeypatch, limit):
+    # Over the limit a cyclic length evaluates every position and holds no
+    # cell-0 array; at or under it, it rotates.  Both report alike.  With
+    # 4**3 entries lengths 1..3 rotate and 4 does not; with one fewer only
+    # lengths 1 and 2 do.
+    monkeypatch.setattr(verify, "_CELL_ZERO_LIMIT", limit)
+    rng = random.Random(limit)
+    p = example_rpca("random", 1, 1, seed=3)
+    derived = convert(p)
+    rules = [derived, reached_mutation(p, derived, rng, 3, 2), mutated(derived, (1, 2, 3, 0), 3)]
+    for rule in rules:
+        assert [bool(verify._cell_zero_size(rule, n)) for n in (1, 2, 3, 4)] == [
+            4**n <= limit for n in (1, 2, 3, 4)
+        ]
+        assert_sweeps_match(rule, [1, 2, 3, 4])
+
+
+def test_conserve_changes_past_a_byte_are_exact():
+    # 200 states take two bytes for image cell 0 less cell 0, and changes
+    # of +149 and -149 more than one signed byte.
+    for changed, actual in (({1: 150, 150: 1}, "cell sum 150"), ({150: 1}, "cell sum 1")):
+        rule = make_rule(200, (0,), {(x,): changed.get(x, x) for x in range(200)}, 0)
+        report = verify.check_number_conserving(rule, max_support=2)
+        assert fields(report) == reference_conserve(rule, 2)
+        assert report.counterexample.actual == actual
+
+
 @pytest.mark.parametrize("chunk", ["1", "s", "7"])
 def test_lead_digit_splits_match_reference(monkeypatch, chunk):
     rng = random.Random(11)
@@ -125,6 +186,12 @@ def test_lead_digit_splits_match_reference(monkeypatch, chunk):
 # {0, 1}, {2, 3} or {4, 5}.  ``constant_merge(a, b)`` is the identity
 # except on the neighborhood (a, a, a), which only the constant word a^3
 # has: its one collision is a^3 against b^3.
+#
+# ``_grids`` runs once for image cell 0 of every word (the rule's one
+# evaluation, over the three positions that cell reads), then once per
+# key pass over the rotations of that cell: the coverage pass, which
+# stops at the first count that falls short, the least-collision pass
+# and the counterexample pass.
 
 
 def constant_merge(a, b):
@@ -169,15 +236,21 @@ def test_coverage_sweep_stops_at_the_first_short_chunk(monkeypatch, a, b, chunks
     for rule in constant_merge(a, b):
         expected = reference_inject(rule, 3)
         calls = recorded_grids(monkeypatch)
-        report = verify.check_injective_cyclic(rule, 3)
+        hoods = []
+        counted = dataclasses.replace(rule, local=lambda *hood: hoods.append(hood) or rule.local(*hood))
+        report = verify.check_injective_cyclic(counted, 3)
         assert fields(report) == expected
         assert report.counterexample.input == (
             f"cyclic: {','.join([str(min(a, b))] * 3)} and cyclic: {','.join([str(max(a, b))] * 3)}"
         )
-        # The coverage pass marks no chunk after the one where the count
-        # first falls short; only then is the least collision searched.
-        assert calls[0] == [0, 72, 144][:chunks]
-        assert calls[1] == [0, 72, 144]
+        # Image cell 0 of all 216 words is the one evaluation: the callable
+        # sees each neighborhood once, and the table is looked up in one pass.
+        assert calls[0] == [0, 72, 144]
+        assert sorted(hoods) == ([] if rule.local_batch else list(itertools.product(range(6), repeat=3)))
+        # The coverage key pass marks no chunk after the one where the
+        # count first falls short; only then is the least collision searched.
+        assert calls[1] == [0, 72, 144][:chunks]
+        assert calls[2] == [0, 72, 144]
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -192,7 +265,9 @@ def test_coverage_sweep_counts_once_a_sixteenth_is_swept(monkeypatch, chunk):
         for rule in constant_merge(a, b):
             calls = recorded_grids(monkeypatch)
             assert fields(verify.check_injective_cyclic(rule, 3)) == reference_inject(rule, 3)
-            ends = calls[1][1:] + [216]
+            # calls[1] is the coverage key pass, calls[2] the least-collision
+            # pass over every chunk.
+            ends = calls[2][1:] + [216]
             counted, stop = 0, None
             for end in ends:
                 if end - counted >= 13 or end == 216:
@@ -200,7 +275,7 @@ def test_coverage_sweep_counts_once_a_sixteenth_is_swept(monkeypatch, chunk):
                     if end > visible:
                         stop = end
                         break
-            assert ends[len(calls[0]) - 1] == stop
+            assert ends[len(calls[1]) - 1] == stop
 
 
 @pytest.mark.parametrize("chunk", [1, 256, 4095])
@@ -212,7 +287,9 @@ def test_coverage_sweep_of_derived_rules_over_chunks(monkeypatch, chunk):
     calls = recorded_grids(monkeypatch)
     report = verify.check_injective_cyclic(rule, 3)
     assert report.passed and fields(report) == reference_inject(rule, 3)
-    assert len(calls) == 1
+    # Image cell 0 reads all three positions, so its pass visits the
+    # chunks of the one key pass.
+    assert len(calls) == 2 and calls[0] == calls[1]
     # The neighborhood (0, 5, 10, 0), its own reduced key, of the ring 10, 0, 5.
     hood = (0, 5, 10, 0)
     bad = mutated(rule, hood, (rule.local(*hood) + 1) % 16)
@@ -313,12 +390,78 @@ def test_inject_turns_failed_allocation_into_value_error(monkeypatch, tmp_path, 
     assert f"exhaustive sweep of {16**9} words" in capsys.readouterr().err
 
 
+def test_conserve_turns_failed_allocation_into_value_error(monkeypatch, tmp_path, capsys):
+    # Image cell 0 of the derived rule reads four positions of a longer
+    # cyclic word: 16**4 entries for every length from 4 on, allocated
+    # before the finite sweep starts.
+    zeros = np.zeros
+
+    def refuse_big(shape, *args, **kwargs):
+        if shape == 16**4:
+            raise MemoryError("cannot allocate")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_big)
+    rule = convert(example_rpca("xor"))
+    words = 16**9 + sum(16**n for n in range(1, 10))
+    with pytest.raises(ValueError, match=f"exhaustive sweep of {words} words needs more memory"):
+        verify.check_number_conserving(rule, max_support=9, budget=10**12)
+    path = tmp_path / "xor.rpca"
+    path.write_text(format_rpca(example_rpca("xor")))
+    assert main(["verify", str(path), "conserve", "--support", "9", "--budget", str(10**12)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: exhaustive sweep of {words} words needs more memory than is available;"
+        " use sampled mode or a shorter support\n"
+    )
+
+
 def test_inject_over_index_range_is_value_error():
     # numpy refuses this size outright (a ValueError, not a MemoryError)
     # without allocating anything.
     rule = make_rule(2, (0,), lambda x: x, 0)
     with pytest.raises(ValueError, match=f"exhaustive sweep of {2**70} words needs more memory"):
         verify.check_injective_cyclic(rule, 70, budget=2**71)
+
+
+# Rotation: image cell i of a cyclic word is image cell 0 of the word
+# rotated left by i, so one evaluation of cell 0 over every word gives
+# every cell.
+
+
+def rotation_rules():
+    """Derived rules, tables and callables, over neighborhoods that do and
+    do not read their own cell."""
+    rules = [convert(example_rpca("identity", 1, 1)), convert(example_rpca("random", 1, 1, seed=2))]
+    rng = random.Random(3)
+    for s, nb in ((2, (-2, -1, 0, 1)), (3, (-1, 0, 1)), (3, (1, 2)), (2, (-3, 2))):
+        keys = list(itertools.product(range(s), repeat=len(nb)))
+        table = {key: rng.randrange(s) for key in keys}
+        table[(0,) * len(nb)] = 0
+        rules.append(make_rule(s, nb, table, 0))
+        rules.append(make_rule(s, nb, lambda *cells, table=table: table[cells], 0))
+    return rules
+
+
+@pytest.mark.parametrize("chunk", ["7", "3s^2", "default"])
+def test_rotated_cell_zero_is_every_image_cell(monkeypatch, chunk):
+    for rule in rotation_rules():
+        s = rule.state_count
+        if chunk != "default":
+            # 3 * s**2 makes chunks of three lead rows, which cross the
+            # boundaries of the lead digits when s > 3.
+            monkeypatch.setattr(verify, "_CHUNK", 7 if chunk == "7" else 3 * s**2)
+        for n in range(1, 7):
+            c0 = verify._cell_zero(rule, n, np.zeros(verify._cell_zero_size(rule, n), np.min_scalar_type(s - 1)))
+            assert c0.shape == tuple(s if i in verify._cell_zero_axes(rule.neighborhood, n) else 1 for i in range(n))
+            for _, cols in verify._grids(s, n, verify._CHUNK):
+                shape = verify._grid_shape(cols)
+                cells = verify._image_cells(rule, cols, cyclic=True)
+                rotated = verify._cyclic_cells(rule, c0, cols)
+                assert len(rotated) == len(cells) == n
+                for cell, view in zip(cells, rotated):
+                    assert np.array_equal(np.broadcast_to(view, shape), np.broadcast_to(cell, shape))
 
 
 # Broadcast evaluation: every batch evaluator takes columns that
