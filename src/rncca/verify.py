@@ -9,9 +9,7 @@ Exhaustive ``conserve`` and ``inject`` sweep digit grids, not word
 matrices: each word position is ``np.arange(s)`` on its own axis of a
 broadcast grid, so an image cell reads only its neighborhood's axes.
 On cyclic words they evaluate the rule once per word: a global map
-commutes with the shift, so every image cell is a rotation of cell 0
-(up to ``_CELL_ZERO_LIMIT`` entries of cell 0; past it, once per
-position).
+commutes with the shift, so every image cell is a rotation of cell 0.
 The other oracles step their configurations together as the rows of
 numpy matrices.  Sweeps go in chunks of bounded size and fixed order;
 sampled ones draw every word in the documented order before stepping
@@ -55,12 +53,6 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 18
-# The most entries of a cell-0 array (``_cell_zero``).  Past it the
-# rotated views read across pages and cache lines, and evaluating every
-# position was faster: 64 and 96 states at cycle 4 (16.7M and 85M
-# entries) on a 2 vCPU Xeon with 2 MB of L2, where 48 states (5.3M)
-# still gained from rotating.
-_CELL_ZERO_LIMIT = 1 << 23
 # Cells per row matrix in the sampled and simulation sweeps.
 _ROW_CELLS = 1 << 16
 # Generator outputs per read in the sampled draws.
@@ -211,20 +203,16 @@ def _cell_zero_axes(nb, n):
 
 
 def _cell_zero_size(rule, n):
-    """Entries of the cell-0 array of cyclic length n, or 0 when that is
-    over ``_CELL_ZERO_LIMIT`` and the sweep evaluates every position."""
-    size = rule.state_count ** len(_cell_zero_axes(rule.neighborhood, n))
-    return size if size <= _CELL_ZERO_LIMIT else 0
+    """Entries of the cell-0 array of cyclic length n."""
+    return rule.state_count ** len(_cell_zero_axes(rule.neighborhood, n))
 
 
 def _cell_zero(rule, n, buffer):
     """Image cell 0 of every cyclic word of length n, as an array with
     one axis per word position: s long on the positions of
-    ``_cell_zero_axes``, 1 long on the others; or None over
-    ``_CELL_ZERO_LIMIT``.  It is evaluated chunk by chunk over the grid
-    of those positions, into the front of ``buffer`` and in its dtype."""
-    if not _cell_zero_size(rule, n):
-        return None
+    ``_cell_zero_axes``, 1 long on the others.  It is evaluated chunk by
+    chunk over the grid of those positions, into the front of ``buffer``
+    and in its dtype."""
     s = rule.state_count
     axes = _cell_zero_axes(rule.neighborhood, n)
     batch = engine._batch_of(rule)
@@ -236,18 +224,16 @@ def _cell_zero(rule, n, buffer):
     return buffer[: s ** len(axes)].reshape([s if i in axes else 1 for i in range(n)])
 
 
-def _cyclic_cells(rule, c0, cols):
+def _cyclic_cells(c0, cols):
     """The image cells of the cyclic words of the ``_grids`` chunk
-    ``cols``: from their cell 0 over all words (``_cell_zero``), else
-    evaluated position by position.  A global map commutes with the
-    shift, so cell i of a word is cell 0 of the word rotated left by i:
-    ``c0`` with its axes rotated by i, cut to the chunk's lead rows.
+    ``cols``, from their cell 0 over all words (``_cell_zero``).  A
+    global map commutes with the shift, so cell i of a word is cell 0
+    of the word rotated left by i: ``c0`` with its axes rotated by i,
+    cut to the chunk's lead rows.
     Those share every leading digit but the last (``_grids``), so each
     cell is a view: the shared digits index their axes and the last
     one's range slices its axis, each where the cell reads that
     position."""
-    if c0 is None:
-        return _image_cells(rule, cols, cyclic=True)
     n = c0.ndim
     lead = n + 1 - cols[0].ndim
     *fixed, last = (int(col.flat[0]) for col in cols[:lead])
@@ -429,8 +415,7 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     cell 0 changes cell 0 by (a global map commutes with the shift), so
     each cyclic length evaluates that change once per word, into the
     buffer, and adds its rotations; the buffer holds it for the longest
-    length, one byte per word up to 128 states (a length whose cell 0
-    would pass ``_CELL_ZERO_LIMIT`` entries evaluates every position).
+    length, one byte per word up to 128 states.
     Sampled mode draws ``count`` random configurations, alternating
     finite and cyclic, with lengths up to ``max_support``.
     """
@@ -450,14 +435,14 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
         def sweep(length, cyclic):
             # A cyclic word's sum changes by the sum, over its rotations, of
             # what image cell 0 changes cell 0 by.
-            net = _cell_zero(rule, length, buffer) if cyclic else None
-            if net is not None:
+            if cyclic:
+                net = _cell_zero(rule, length, buffer)
                 net -= np.arange(s).reshape((s,) + (1,) * (length - 1))
             for first, cols in _grids(s, length, _CHUNK):
-                if net is None:
-                    found = _first_unconserved(_grid_shape(cols), s, _image_cells(rule, cols, cyclic), cols)
+                if cyclic:
+                    found = _first_unconserved(_grid_shape(cols), s, _cyclic_cells(net, cols))
                 else:
-                    found = _first_unconserved(_grid_shape(cols), s, _cyclic_cells(rule, net, cols))
+                    found = _first_unconserved(_grid_shape(cols), s, _image_cells(rule, cols, False), cols)
                 if found:
                     yield _conservation_counterexample(_digits(first + found[0], s, length), found[1], cyclic)
 
@@ -487,7 +472,7 @@ def _image_keys(rule, n, c0, cols):
     s = rule.state_count
     dtype = np.int32 if s**n <= 1 << 31 else np.int64
     keys = np.empty(_grid_shape(cols), dtype=dtype)
-    first, *rest = cells = _cyclic_cells(rule, c0, cols)
+    first, *rest = cells = _cyclic_cells(c0, cols)
     if all(cell.size == keys.size for cell in cells):
         keys[...] = first
         for cell in rest:
@@ -562,12 +547,11 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     evaluated once per word, for image cell 0: a global map commutes
     with the shift, so image cell i of a word is cell 0 of the word
     rotated left by i, and every pass reads its image keys off
-    rotations of that one array (past ``_CELL_ZERO_LIMIT`` entries, each
-    pass evaluates every position instead).  It marks the flag of every
-    image and decides by coverage: the rule is injective exactly when
-    all s**n flags are marked.  Only a failing rule's keys are read
-    again, for the collision with the smallest image (read as a base-s
-    number), which it reports.
+    rotations of that one array.  It marks the flag of every image and
+    decides by coverage: the rule is injective exactly when all s**n
+    flags are marked.  Only a failing rule's keys are read again, for
+    the collision with the smallest image (read as a base-s number),
+    which it reports.
     Sampled mode reports the first draw whose image an earlier, different
     draw already had: it maps each image drawn to the word that first
     had it, walking the draws in order.

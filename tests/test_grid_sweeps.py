@@ -135,24 +135,6 @@ def test_failing_mutants_match_reference_over_chunks(monkeypatch, chunk, seed):
     assert not all(verdicts)
 
 
-@pytest.mark.parametrize("limit", [0, 4**3 - 1, 4**3])
-def test_cell_zero_limit_picks_rotation_or_every_position_alike(monkeypatch, limit):
-    # Over the limit a cyclic length evaluates every position and holds no
-    # cell-0 array; at or under it, it rotates.  Both report alike.  With
-    # 4**3 entries lengths 1..3 rotate and 4 does not; with one fewer only
-    # lengths 1 and 2 do.
-    monkeypatch.setattr(verify, "_CELL_ZERO_LIMIT", limit)
-    rng = random.Random(limit)
-    p = example_rpca("random", 1, 1, seed=3)
-    derived = convert(p)
-    rules = [derived, reached_mutation(p, derived, rng, 3, 2), mutated(derived, (1, 2, 3, 0), 3)]
-    for rule in rules:
-        assert [bool(verify._cell_zero_size(rule, n)) for n in (1, 2, 3, 4)] == [
-            4**n <= limit for n in (1, 2, 3, 4)
-        ]
-        assert_sweeps_match(rule, [1, 2, 3, 4])
-
-
 def test_conserve_changes_past_a_byte_are_exact():
     # 200 states take two bytes for image cell 0 less cell 0, and changes
     # of +149 and -149 more than one signed byte.
@@ -314,6 +296,24 @@ def test_callable_images_outside_the_states_are_refused(bad):
             check()
 
 
+def test_cyclic_conserve_evaluates_cell_zero_of_every_word_before_checking(monkeypatch):
+    # The window (1, 0, 1) adds one to the cyclic word 0,1; (2, 1, 2) maps
+    # out of the states on the later word 1,2.  Neither window occurs in
+    # a zero-padded word of length 2 or a cyclic word of length 1.  A
+    # cyclic length evaluates image cell 0 of all its words before it
+    # checks any, so the later word's image raises, although the sweep
+    # of chunks of three words would reach 0,1 first.
+    monkeypatch.setattr(verify, "_CHUNK", 3)
+    images = {(1, 0, 1): 1, (2, 1, 2): 3}
+    rule = make_rule(3, (-1, 0, 1), lambda *cells: images.get(cells, cells[1]), 0)
+    with pytest.raises(ValueError, match=r"local rule maps \(2, 1, 2\) to 3, outside the states 0 \.\. 2"):
+        verify.check_number_conserving(rule, max_support=2)
+    del images[(2, 1, 2)]
+    report = verify.check_number_conserving(rule, max_support=2)
+    assert fields(report) == reference_conserve(rule, 2)
+    assert report.counterexample.input == "cyclic: 0,1"
+
+
 def test_grids_enumerate_words_in_lexicographic_order():
     for s, length, chunk in itertools.product((1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 7, 30, 1 << 18)):
         words = []
@@ -324,6 +324,17 @@ def test_grids_enumerate_words_in_lexicographic_order():
             words += [tuple(row) for row in grid.tolist()]
         assert words == list(itertools.product(range(s), repeat=length))
         assert all(verify._digits(i, s, length) == word for i, word in enumerate(words))
+
+
+def test_grid_chunks_never_cross_a_run_of_lead_rows():
+    # ``_cyclic_cells`` indexes every leading digit but the last with the
+    # chunk's first word, so those digits are the same across a chunk.
+    for s, length, chunk in itertools.product((2, 3, 4, 5), (2, 3, 4), (1, 2, 3, 7, 12, 30)):
+        for _, cols in verify._grids(s, length, chunk):
+            lead = length + 1 - cols[0].ndim
+            assert all(np.all(col == col.flat[0]) for col in cols[: lead - 1])
+            last = cols[lead - 1].ravel()
+            assert np.array_equal(last, np.arange(last[0], last[0] + len(last)))
 
 
 def test_xor_sweeps_match_reference_at_benchmark_sizes():
@@ -449,8 +460,9 @@ def test_rotated_cell_zero_is_every_image_cell(monkeypatch, chunk):
     for rule in rotation_rules():
         s = rule.state_count
         if chunk != "default":
-            # 3 * s**2 makes chunks of three lead rows, which cross the
-            # boundaries of the lead digits when s > 3.
+            # 3 * s**2 asks for three lead rows per chunk: s = 2 and 3 take
+            # them whole, and s = 4 splits each run of four lead rows into
+            # chunks of two.
             monkeypatch.setattr(verify, "_CHUNK", 7 if chunk == "7" else 3 * s**2)
         for n in range(1, 7):
             c0 = verify._cell_zero(rule, n, np.zeros(verify._cell_zero_size(rule, n), np.min_scalar_type(s - 1)))
@@ -458,7 +470,7 @@ def test_rotated_cell_zero_is_every_image_cell(monkeypatch, chunk):
             for _, cols in verify._grids(s, n, verify._CHUNK):
                 shape = verify._grid_shape(cols)
                 cells = verify._image_cells(rule, cols, cyclic=True)
-                rotated = verify._cyclic_cells(rule, c0, cols)
+                rotated = verify._cyclic_cells(c0, cols)
                 assert len(rotated) == len(cells) == n
                 for cell, view in zip(cells, rotated):
                     assert np.array_equal(np.broadcast_to(view, shape), np.broadcast_to(cell, shape))
