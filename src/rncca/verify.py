@@ -327,53 +327,60 @@ class _Draws:
         ``randrange(s)``: their lengths, and their cells as the rows of a
         matrix zero-padded to the longest.
 
-        Where a word ends depends on its drawn length, so one pass over
-        the outputs finds, for each, where a word starting there would
-        end; from the first pending output, those links lead from word
-        to word."""
+        Words are linked in the ranks of the acceptable draws.  Over a
+        read, let A be the outputs that are acceptable length draws and K
+        those that are kept cell draws.  The word whose length draw is
+        A[j] takes the next L kept cell draws: with k kept draws up to
+        A[j], it ends at K[k + L - 1], and the next word's length draw is
+        A[r], where r counts the acceptable length draws up to that end.
+        So one walk over those successor ranks takes one step per word,
+        and the cells, the kept draws after each length draw up to its
+        end, are scattered into the rows.  A word that runs past the read
+        carries over to the next read."""
         length_shift, cell_shift = _draw_shift(max_length), _draw_shift(s)
-        lengths, firsts, pools = [], [], []
-        pooled = 0
+        lengths, pools = [], []
         outputs = self._pending
         while True:
-            size = len(outputs)
-            length_draw = (outputs >> length_shift).astype(np.int64)
-            cell_draw = outputs >> cell_shift
-            kept = cell_draw < s
-            kept_through = np.cumsum(kept)
-            # length_at[i]: the first output from i on that is a kept length draw.
-            length_at = np.where(length_draw < max_length, np.arange(size), size)
-            length_at = np.minimum.accumulate(length_at[::-1])[::-1]
-            at = np.minimum(length_at, size - 1)
-            last = np.searchsorted(kept_through, kept_through[at] + length_draw[at] + 1)
-            # following[i]: where the next word starts after one that starts
-            # at i; 0 when the outputs end first.
-            following = np.where((length_at < size) & (last < size), last + 1, 0).tolist()
-            starts = []
-            i = 0
-            while count and i < size and following[i]:
-                starts.append(i)
-                i = following[i]
+            length_draw, cell_draw = outputs >> length_shift, outputs >> cell_shift
+            length_ok, kept = length_draw < max_length, cell_draw < s
+            at, held = np.flatnonzero(length_ok), np.flatnonzero(kept)
+            kept_through = np.cumsum(kept, dtype=np.int32)
+            # last[j]: the rank in K of the last cell of word j, or len(K)
+            # when the word runs past the read.
+            last = np.minimum(kept_through[at] + length_draw[at], len(held))
+            # after[k]: the rank in A of the first length draw after K[k];
+            # -1 past the end of K.
+            after = np.append(np.cumsum(length_ok, dtype=np.int32)[held], -1)
+            # succ[j]: the rank in A of the word after word j, or -1 when
+            # word j runs past the read or when j is past the end of A.  The
+            # walk reads only the entries it visits.
+            walk = memoryview(np.append(after[last], -1))
+            taken = []
+            j = 0
+            while count and (succ := walk[j]) >= 0:
+                taken.append(j)
+                j = succ
                 count -= 1
-            at = length_at[starts]
-            lengths.append(length_draw[at] + 1)
-            # A word's cells are the kept cell draws after its length draw:
-            # in the pool of those, they start at the count kept up to it.
-            firsts.append(pooled + kept_through[at])
-            pools.append(cell_draw[kept])
-            pooled += len(pools[-1])
-            outputs = outputs[i:]
+            if taken:
+                outputs = outputs[held[last[taken[-1]]] + 1 :]
+            at = at[taken]
+            drawn = length_draw[at].astype(np.int64) + 1
+            lengths.append(drawn)
+            # Laid end to end, the cells of word i start at cumsum(drawn)[i]
+            # - drawn[i]; in K they start at the rank kept_through[at[i]].
+            offset = kept_through[at] - (np.cumsum(drawn) - drawn)
+            pools.append(cell_draw[held[np.repeat(offset, drawn) + np.arange(drawn.sum())]])
             if not count:
                 break
             # The rest of a word: one more block, or as many outputs again
             # when a block already fell short.
             outputs = np.concatenate([outputs, self._fresh(len(outputs))])
         self._pending = outputs
-        lengths, firsts, pool = np.concatenate(lengths), np.concatenate(firsts), np.concatenate(pools)
+        lengths = np.concatenate(lengths)
         columns = np.arange(lengths.max())
-        cells = pool[np.minimum(firsts[:, None] + columns, len(pool) - 1)]
-        cells[columns >= lengths[:, None]] = 0
-        return lengths, cells.astype(np.min_scalar_type(s - 1))
+        cells = np.zeros((len(lengths), len(columns)), dtype=np.min_scalar_type(s - 1))
+        cells[columns < lengths[:, None]] = np.concatenate(pools)
+        return lengths, cells
 
 
 def _first_sampled_unconserved(rule, lengths, cells, first):

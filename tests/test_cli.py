@@ -325,6 +325,12 @@ GOLDEN = Path(__file__).parent / "golden"
         # nonzero cells, which no finite word of length 3 has.
         ("verify-conserve-cyclic.txt", ["ring-leaky.ncca", "conserve", "--support", "3"]),
         ("verify-inject-cycle4.txt", ["lossy.ncca", "inject", "--cycle", "4"]),
+        # Draw 1,059, the first that fails, ends 7,300 generator outputs in,
+        # past the first read of the sampled draws.
+        (
+            "verify-conserve-sampled-late.txt",
+            ["ring-leaky.ncca", "conserve", "--support", "4", "--sampled", "2000", "--seed", "201"],
+        ),
     ],
 )
 def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):

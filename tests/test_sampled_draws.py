@@ -16,8 +16,11 @@ from rncca.cli import main
 from rncca.engine import make_rule
 from rncca.rpca import example_rpca, format_rpca
 
-STATES = [1, 2, 3, 16, 17, 96, 255]
-SUPPORTS = [1, 2, 3, 10, 17]
+# At and just past a power of two (16, 17, 32, 33, 128, 129, 256),
+# randrange keeps one bit more than the bound needs, so up to half of all
+# length and cell draws are rejected.
+STATES = [1, 2, 3, 16, 17, 96, 128, 129, 255, 256]
+SUPPORTS = [1, 2, 3, 10, 16, 17, 32, 33]
 BLOCK = verify._DRAW_BLOCK
 
 
@@ -31,6 +34,7 @@ def reference_words(rng, count, max_support, s):
 
 def drawn_words(draws, count, max_support, s):
     lengths, cells = draws.words(count, max_support, s)
+    assert lengths.dtype == np.int64
     assert cells.dtype == np.min_scalar_type(s - 1)
     assert cells.shape == (count, lengths.max())
     # Zero padding past each word's end.
@@ -56,6 +60,34 @@ def test_draws_equal_randint_and_randrange_calls(monkeypatch, s, max_support, bl
         cells = draws.below(s, size)
         assert cells.dtype == np.min_scalar_type(s - 1)
         assert cells.tolist() == [rng.randrange(s) for _ in range(size)]
+
+
+@pytest.mark.parametrize(
+    "block, seed, s, max_support, count",
+    [(5, 0, 96, 10, 7), (5, 2, 3, 17, 2), (BLOCK, 1, 96, 10, 914), (BLOCK, 2, 3, 17, 592)],
+)
+def test_draws_that_end_on_the_last_output_read_leave_none_pending(monkeypatch, block, seed, s, max_support, count):
+    # The last word ends on the last output read, so the next call starts
+    # on a fresh read.
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", block)
+    draws, rng = verify._Draws(seed), random.Random(seed)
+    assert drawn_words(draws, count, max_support, s) == reference_words(rng, count, max_support, s)
+    assert not len(draws._pending)
+    assert drawn_words(draws, 3, max_support, s) == reference_words(rng, 3, max_support, s)
+    assert draws.below(s, 20).tolist() == [rng.randrange(s) for _ in range(20)]
+
+
+def test_a_word_longer_than_several_reads_carries_over(monkeypatch):
+    # With reads of one output, a word that does not end in a read takes
+    # as many outputs again: the first word here, of over 64 cells, spans
+    # reads of 1, 2, 4, ..., 64 outputs and more.
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", 1)
+    draws, rng = verify._Draws(7), random.Random(7)
+    words = drawn_words(draws, 5, 1000, 3)
+    assert words == reference_words(rng, 5, 1000, 3)
+    assert len(words[0]) > 64
+    assert draws.below(3, 50).tolist() == [rng.randrange(3) for _ in range(50)]
+    assert drawn_words(draws, 2, 1000, 3) == reference_words(rng, 2, 1000, 3)
 
 
 @pytest.mark.parametrize("bound", [1, 5, 2**31, 2**32 - 1])
