@@ -125,9 +125,11 @@ class NccaRule(engine.Rule):
     """The 4-neighbor rule derived from a reversible 2-part PCA.
 
     ``local`` and ``local_batch`` both read one reduced lookup table
-    indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|): 64 |C|^3 |R|^3
+    indexed by (light(q-2), q0, heavy(q1) // 2|R|, q-1): 64 |C|^3 |R|^3
     entries instead of state_count**4, stored as uint8 up to 256 states
-    (884,736 entries, 0.88 MB, at 96 states).
+    (884,736 entries, 0.88 MB, at 96 states).  q-1 is the contiguous
+    axis: a cyclic sweep's image cell 0 reads the word's last position
+    at offset -1, and that position is the fastest axis of its grid.
     """
 
     code: ParticleCode = None
@@ -218,7 +220,8 @@ def convert(p):
     * elsewhere f returns u.
 
     Only light(q-2) and heavy(q1) matter, so the rule is compiled into
-    one table indexed by (light(q-2), q-1, q0, heavy(q1) // 2|R|).
+    one table indexed by (light(q-2), q0, heavy(q1) // 2|R|, q-1), q-1
+    fastest (``_reduced_table``).
     """
     _require_reversible(p)
     code = ParticleCode(p.c_size, p.r_size)
@@ -236,10 +239,10 @@ def convert(p):
     # Each cell's share of the table index, by state: int32 holds every
     # index below _TABLE_LIMIT.
     q = np.arange(s, dtype=np.int32)
-    ta, tb, tc, td = q % two_r * (s * s * two_c), q * (s * two_c), q * two_c, q // two_r
+    ta, tb, tc, td = q % two_r * (s * two_c * s), q, q * (two_c * s), q // two_r * s
 
     def local(qm2, qm1, q0, q1):
-        return cells[((qm2 % two_r * s + qm1) * s + q0) * two_c + q1 // two_r]
+        return cells[((qm2 % two_r * s + q0) * two_c + q1 // two_r) * s + qm1]
 
     def local_batch(cols):
         """The table at the columns' summed index terms, added in pairs
@@ -261,12 +264,17 @@ def convert(p):
 
 
 def _reduced_table(code, p):
-    """The derived rule f = T∘S as a (2|R|, s, s, 2|C|) array over
-    (light(q-2), q-1, q0, heavy(q1) // 2|R|), in the smallest unsigned
+    """The derived rule f = T∘S as a (2|R|, s, 2|C|, s) array over
+    (light(q-2), q0, heavy(q1) // 2|R|, q-1), in the smallest unsigned
     dtype that holds every state.
 
+    q-1 is the last axis because on every cyclic length of at least 2,
+    image cell 0 reads the word's last position at offset -1, and
+    ``verify._grids`` puts that position on its fastest axis: the
+    exhaustive sweeps' gathers then walk consecutive entries.
+
     Every entry starts as S's value u at position 0, and T overwrites
-    the entries where position 0 is in a site, read off the (q-1, q0)
+    the entries where position 0 is in a site, read off the (q0, q-1)
     plane: it starts one where u is a hat value and q0 brings the light
     mass of s - 1 - u (q1 then brings its heavy mass), and ends one
     where s - 1 - u is a hat value whose heavy mass q-1 holds (q-2 then
@@ -277,7 +285,7 @@ def _reduced_table(code, p):
     q = np.arange(s)
     light = q % two_r
     heavy = q - light
-    u = heavy[None, :] + light[:, None]  # position 0 after S, over (q-1, q0)
+    u = heavy[:, None] + light[None, :]  # position 0 after S, over (q0, q-1)
     v = s - 1 - u
     is_hat = (heavy < code.hat_heavy_limit) & (light < code.hat_light_limit)
     # T on the first cell of a site: the hat value of the source image.
@@ -285,17 +293,17 @@ def _reduced_table(code, p):
     image = np.zeros(s, dtype=np.intp)
     image[hats] = hats[p._images]
     table = np.tile(
-        np.repeat(u.astype(np.min_scalar_type(s - 1))[:, :, None], 2 * code.c_size, axis=2),
+        np.repeat(u.astype(np.min_scalar_type(s - 1))[:, None, :], 2 * code.c_size, axis=1),
         (two_r, 1, 1, 1),
     )
-    first = is_hat[u] & (light[None, :] == light[v])
-    second = is_hat[v] & (heavy[:, None] == heavy[v])
+    first = is_hat[u] & (light[:, None] == light[v])
+    second = is_hat[v] & (heavy[None, :] == heavy[v])
     if (first & second).any():
         raise AssertionError("transition sites overlap")
-    b, c = np.nonzero(first)
-    table[:, b, c, heavy[v[b, c]] // two_r] = image[u[b, c]]
-    b, c = np.nonzero(second)
-    table[light[v[b, c]], b, c] = s - 1 - image[v[b, c], None]
+    c, b = np.nonzero(first)
+    table[:, c, heavy[v[c, b]] // two_r, b] = image[u[c, b]]
+    c, b = np.nonzero(second)
+    table[light[v[c, b]], c, :, b] = s - 1 - image[v[c, b], None]
     return table
 
 

@@ -470,7 +470,9 @@ def _image_keys(rule, n, c0, cols):
     """Images of the cyclic words of the ``_grids`` chunk ``cols``, read
     as base-s numbers (sum of img_i * s**(n-1-i)), flat in C order; the
     image cells are ``_cyclic_cells``.  Every partial sum is below s**n,
-    so int32 holds them when s**n does.  The cells go into one
+    so int32 holds them when s**n does: the keys are computed in int32
+    (half the memory traffic of intp) and callers cast them to intp
+    before they index with them.  The cells go into one
     accumulator in place.  When every cell spans the chunk, it takes
     them by Horner's rule.  Otherwise each cell is scaled on its own
     broadcast shape, into one contiguous scratch buffer, and added: a
@@ -506,10 +508,11 @@ def _key_chunks(rule, n, c0):
 def _least_collision(rule, n, c0, seen):
     """The smallest key that two cyclic words step to, for a rule known
     not to be injective on them; ``seen`` holds one cleared flag per
-    word."""
+    word, read and marked through one intp copy of each chunk's sorted
+    keys, as the coverage pass marks it."""
     collision_key = len(seen)  # above every key
     for _, keys in _key_chunks(rule, n, c0):
-        ordered = np.sort(keys)
+        ordered = np.sort(keys).astype(np.intp, copy=False)
         # Keys an earlier chunk had or this one has twice; the first is least.
         hit = seen[ordered]
         hit[:-1] |= ordered[1:] == ordered[:-1]
@@ -556,7 +559,10 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     rotated left by i, and every pass reads its image keys off
     rotations of that one array.  It marks the flag of every image and
     decides by coverage: the rule is injective exactly when all s**n
-    flags are marked.  Only a failing rule's keys are read again, for
+    flags are marked.  Keys are computed in int32 when s**n fits and
+    each chunk's are scattered into the flags through one intp copy:
+    numpy's fancy assignment casts int32 indices slower than ``astype``
+    does.  Only a failing rule's keys are read again, for
     the collision with the smallest image (read as a base-s number),
     which it reports.
     Sampled mode reports the first draw whose image an earlier, different
@@ -580,7 +586,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         # a sixteenth of the words have been swept since the last one.
         swept = counted = 0
         for _, keys in _key_chunks(rule, n, c0):
-            seen[keys] = True
+            seen[keys.astype(np.intp, copy=False)] = True
             swept += len(keys)
             if swept - counted < total // 16 and swept < total:
                 continue

@@ -238,8 +238,10 @@ def reference_inject_sampled(rule, n, *, count, seed):
 
 
 def mutated(rule, key, value):
-    """``rule`` with one entry of its reduced table, indexed by
-    (light(q-2), q-1, q0, heavy(q1) // 2|R|), replaced by ``value``."""
+    """``rule`` with one entry of its reduced table replaced by
+    ``value``.  ``key`` is a role tuple, (light(q-2), q-1, q0,
+    heavy(q1) // 2|R|), in neighborhood order: the entry is keyed by
+    what its cells hold, not by its index in the table's layout."""
     two_r = rule.code.light_modulus
 
     def local(a, b, c, d):

@@ -110,6 +110,25 @@ def test_convert_dump_table_bytes_are_pinned(xor_rule, tmp_path):
     assert digest == "b83b500acc1b115dc5c57a6ea8122d5979bdc2148a7d15de80dddf2226a6da7a"
 
 
+@pytest.mark.parametrize(
+    "c_size, r_size, digest",
+    [
+        (1, 3, "8b3a6f4a1676ab9a3c78386b6b698f221ebf9ef53d4b60babdbcefb62ad528b0"),
+        (3, 1, "d97b80628075a17d6bf4e793615d728229f933d6f5c2d6cca9e5bb83c6cb529b"),
+    ],
+)
+def test_convert_dump_table_bytes_are_pinned_on_unequal_axes(tmp_path, c_size, r_size, digest):
+    # 2|C| != 2|R|, so a stride mixed up between the heavy(q1) and
+    # light(q-2) axes of the reduced table, which xor's equal axes hide,
+    # changes the 20,736 transition lines of these 12-state rules.
+    rule = tmp_path / "random.rpca"
+    rule.write_text(format_rpca(example_rpca("random", c_size, r_size, seed=1)))
+    out = tmp_path / "random.ncca"
+    assert main(["convert", str(rule), "--dump-table", "-o", str(out)]) == 0
+    assert out.read_text().count("\nt ") == 12**4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_run_golden_window_rows(xor_rule, tau_config, capsys):
     assert main([
         "run", xor_rule, tau_config, "--steps", "2", "--window", "-2", "3",
@@ -353,6 +372,9 @@ def test_verify_failing_dumps_match_golden_reports(capsys, golden, args):
         ("verify-conserve-sampled-pass.txt", ["conserve", "--support", "4", "--sampled", "300", "--seed", "1"]),
         ("verify-inject-pass.txt", ["inject", "--cycle", "3"]),
         ("verify-conserve-pass.txt", ["conserve", "--support", "3"]),
+        # Four-axis cell-0 sweeps: 5,308,416 cyclic words of length 4.
+        ("verify-inject-pass-cycle4.txt", ["inject", "--cycle", "4"]),
+        ("verify-conserve-pass-support4.txt", ["conserve", "--support", "4"]),
     ],
 )
 def test_verify_passing_reports_match_golden_reports(capsys, golden, args):
