@@ -53,6 +53,10 @@ __all__ = [
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 18
+# Keys per intp copy in the ``inject`` coverage pass: a copy this small
+# stays in cache and comes from the heap, where a chunk-sized one is a
+# fresh mapping that every chunk faults in page by page.
+_SCATTER_BLOCK = 1 << 13
 # Cells per row matrix in the sampled and simulation sweeps.
 _ROW_CELLS = 1 << 16
 # Generator outputs per read in the sampled draws.
@@ -471,7 +475,7 @@ def _image_keys(rule, n, c0, cols):
     as base-s numbers (sum of img_i * s**(n-1-i)), flat in C order; the
     image cells are ``_cyclic_cells``.  Every partial sum is below s**n,
     so int32 holds them when s**n does: the keys are computed in int32
-    (half the memory traffic of intp) and callers cast them to intp
+    (half the memory traffic of intp), and callers cast them to intp
     before they index with them.  The cells go into one
     accumulator in place.  When every cell spans the chunk, it takes
     them by Horner's rule.  Otherwise each cell is scaled on its own
@@ -560,9 +564,9 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     rotations of that one array.  It marks the flag of every image and
     decides by coverage: the rule is injective exactly when all s**n
     flags are marked.  Keys are computed in int32 when s**n fits and
-    each chunk's are scattered into the flags through one intp copy:
-    numpy's fancy assignment casts int32 indices slower than ``astype``
-    does.  Only a failing rule's keys are read again, for
+    scattered into the flags as intp, ``_SCATTER_BLOCK`` keys per copy:
+    a fancy assignment with int32 indices costs more than the cast and
+    an intp scatter together.  Only a failing rule's keys are read again, for
     the collision with the smallest image (read as a base-s number),
     which it reports.
     Sampled mode reports the first draw whose image an earlier, different
@@ -586,7 +590,8 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         # a sixteenth of the words have been swept since the last one.
         swept = counted = 0
         for _, keys in _key_chunks(rule, n, c0):
-            seen[keys.astype(np.intp, copy=False)] = True
+            for start in range(0, len(keys), _SCATTER_BLOCK):
+                seen[keys[start : start + _SCATTER_BLOCK].astype(np.intp, copy=False)] = True
             swept += len(keys)
             if swept - counted < total // 16 and swept < total:
                 continue

@@ -279,6 +279,22 @@ def test_coverage_sweep_of_derived_rules_over_chunks(monkeypatch, chunk):
     assert not report.passed and fields(report) == reference_inject(bad, 3)
 
 
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 13])
+def test_coverage_sweep_scatters_keys_in_blocks(monkeypatch, block):
+    # Blocks that split each 256-key chunk unevenly, and one block that
+    # holds a whole chunk: every key is marked once, so the injective xor
+    # rule passes, and one mutated entry fails like the reference.
+    monkeypatch.setattr(verify, "_CHUNK", 256)
+    monkeypatch.setattr(verify, "_SCATTER_BLOCK", block)
+    rule = convert(example_rpca("xor"))
+    report = verify.check_injective_cyclic(rule, 3)
+    assert report.passed and fields(report) == reference_inject(rule, 3)
+    hood = (0, 5, 10, 0)
+    bad = mutated(rule, hood, (rule.local(*hood) + 1) % 16)
+    report = verify.check_injective_cyclic(bad, 3)
+    assert not report.passed and fields(report) == reference_inject(bad, 3)
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_callable_images_outside_the_states_are_refused(bad):
     # A negative image would wrap in the coverage flags and one >= s would
