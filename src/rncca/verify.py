@@ -513,7 +513,7 @@ def _least_collision(rule, n, c0, seen):
     """The smallest key that two cyclic words step to, for a rule known
     not to be injective on them; ``seen`` holds one cleared flag per
     word, read and marked through one intp copy of each chunk's sorted
-    keys, as the coverage pass marks it."""
+    keys."""
     collision_key = len(seen)  # above every key
     for _, keys in _key_chunks(rule, n, c0):
         ordered = np.sort(keys).astype(np.intp, copy=False)
@@ -566,9 +566,9 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     flags are marked.  Keys are computed in int32 when s**n fits and
     scattered into the flags as intp, ``_SCATTER_BLOCK`` keys per copy:
     a fancy assignment with int32 indices costs more than the cast and
-    an intp scatter together.  Only a failing rule's keys are read again, for
-    the collision with the smallest image (read as a base-s number),
-    which it reports.
+    an intp scatter together.  Only a failing rule's keys are read
+    again, for the collision with the smallest image (read as a base-s
+    number), which it reports.
     Sampled mode reports the first draw whose image an earlier, different
     draw already had: it maps each image drawn to the word that first
     had it, walking the draws in order.
