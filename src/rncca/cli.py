@@ -289,8 +289,11 @@ def cmd_run(args):
 
 def cmd_verify(args):
     budget = args.budget
-    if budget is None and os.environ.get("RNCCA_BUDGET"):
-        budget = int(os.environ["RNCCA_BUDGET"])
+    if budget is None and (env := os.environ.get("RNCCA_BUDGET")):
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"RNCCA_BUDGET must be an integer, got {env!r}") from None
     mode = "sampled" if args.sampled is not None else "exhaustive"
     count = args.sampled
     if args.property in ("conserve", "inject"):

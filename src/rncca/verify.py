@@ -561,9 +561,9 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     evaluated once per word, for image cell 0: a global map commutes
     with the shift, so image cell i of a word is cell 0 of the word
     rotated left by i, and every pass reads its image keys off
-    rotations of that one array.  It marks the flag of every image and
-    decides by coverage: the rule is injective exactly when all s**n
-    flags are marked.  Keys are computed in int32 when s**n fits and
+    rotations of that one array.  It marks the flag of every image, then
+    decides by coverage, counting the flags once: the rule is injective
+    exactly when all s**n flags are marked.  Keys are computed in int32 when s**n fits and
     scattered into the flags as intp, ``_SCATTER_BLOCK`` keys per copy:
     a fancy assignment with int32 indices costs more than the cast and
     an intp scatter together.  Only a failing rule's keys are read
@@ -584,22 +584,13 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         seen = _allocate(total, bool, total, "cycle")
         c0 = _cell_zero(rule, n, _allocate(_cell_zero_size(rule, n), np.min_scalar_type(s - 1), total, "cycle"))
         # The s**n words have keys in 0 .. s**n - 1, so the rule is injective
-        # exactly when their images mark every key (pigeonhole): a sweep
-        # that has marked fewer keys than it has swept words has a collision.
-        # A count reads every flag, so it is taken after a chunk only once
-        # a sixteenth of the words have been swept since the last one.
-        swept = counted = 0
+        # exactly when their images mark every key (pigeonhole).
         for _, keys in _key_chunks(rule, n, c0):
             for start in range(0, len(keys), _SCATTER_BLOCK):
                 seen[keys[start : start + _SCATTER_BLOCK].astype(np.intp, copy=False)] = True
-            swept += len(keys)
-            if swept - counted < total // 16 and swept < total:
-                continue
-            counted = swept
-            if np.count_nonzero(seen) < swept:
-                seen[:] = False
-                counterexample = _injectivity_counterexample(rule, n, c0, _least_collision(rule, n, c0, seen))
-                break
+        if np.count_nonzero(seen) < total:
+            seen[:] = False
+            counterexample = _injectivity_counterexample(rule, n, c0, _least_collision(rule, n, c0, seen))
     else:
         draws = _Draws(seed)
         domain = f"sampled states={s} cycle={n} count={count} seed={seed}"
@@ -919,34 +910,33 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
         cfg = encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
         ok, ledger = ledger_is_constant(rule.code, engine.run(rule, cfg, steps))
         _confirm(ok, not failed, start, "a constant ledger")
-        counterexample = None
-        if not ok:
-            counterexample = Counterexample(
-                input=format_configuration(cfg),
-                expected="constant heavy and light window sums",
-                actual=f"window={ledger.window} rows={ledger.rows}",
-            )
-        terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
-        return _report("tauprime", _domain(p, mode, count, seed, *terms), counterexample, started)
-    _check_bounds(mode, count, support=max_support, steps=steps)
-    k = int(k)
-    if k < 2:
-        raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
-    bounds = f"support<={max_support}", f"steps={steps}"
-    # k = 2 sweeps the one period of ``simulate``, under its own domain.
-    periods = [2] if k == 2 else list(range(1, 4 * k + 1))
-    candidates, counterexample = _spacing_sweep(p, convert(p), k, periods, mode, max_support, steps, count, seed)
-    period = min(candidates) if counterexample is None else None
-    if k == 2:
-        domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)
-    else:
-        domain = _domain(p, mode, count, seed, f"k={k}", *bounds) + f" period={period}"
-    if counterexample is None and k not in candidates:
-        counterexample = Counterexample(
-            input=f"period search over 1..{4 * k}",
-            expected=f"simulation period {k}",
-            actual=f"smallest working period {period}",
+        counterexample = None if ok else Counterexample(
+            input=format_configuration(cfg),
+            expected="constant heavy and light window sums",
+            actual=f"window={ledger.window} rows={ledger.rows}",
         )
+        terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
+        domain = _domain(p, mode, count, seed, *terms)
+    else:
+        _check_bounds(mode, count, support=max_support, steps=steps)
+        k = int(k)
+        if k < 2:
+            raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
+        bounds = f"support<={max_support}", f"steps={steps}"
+        # k = 2 sweeps the one period of ``simulate``, under its own domain.
+        periods = [2] if k == 2 else list(range(1, 4 * k + 1))
+        candidates, counterexample = _spacing_sweep(p, convert(p), k, periods, mode, max_support, steps, count, seed)
+        period = min(candidates) if counterexample is None else None
+        if k == 2:
+            domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)
+        else:
+            domain = _domain(p, mode, count, seed, f"k={k}", *bounds) + f" period={period}"
+        if counterexample is None and k not in candidates:
+            counterexample = Counterexample(
+                input=f"period search over 1..{4 * k}",
+                expected=f"simulation period {k}",
+                actual=f"smallest working period {period}",
+            )
     return _report("tauprime", domain, counterexample, started)
 
 

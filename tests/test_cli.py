@@ -344,6 +344,8 @@ GOLDEN = Path(__file__).parent / "golden"
         # nonzero cells, which no finite word of length 3 has.
         ("verify-conserve-cyclic.txt", ["ring-leaky.ncca", "conserve", "--support", "3"]),
         ("verify-inject-cycle4.txt", ["lossy.ncca", "inject", "--cycle", "4"]),
+        # 1,048,576 words in four chunks of 2**18, the collision in the first.
+        ("verify-inject-cycle10.txt", ["lossy.ncca", "inject", "--cycle", "10"]),
         # Draw 1,059, the first that fails, ends 7,300 generator outputs in,
         # past the first read of the sampled draws.
         (
@@ -418,6 +420,15 @@ def test_verify_budget_env_refusal(xor_rule, capsys, monkeypatch):
     monkeypatch.setenv("RNCCA_BUDGET", "10")
     assert main(["verify", xor_rule, "inject", "--cycle", "3"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9"])
+def test_verify_budget_env_must_be_an_integer(xor_rule, capsys, monkeypatch, value):
+    monkeypatch.setenv("RNCCA_BUDGET", value)
+    assert main(["verify", xor_rule, "inject", "--cycle", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: RNCCA_BUDGET must be an integer, got '{value}'\n"
 
 
 def test_verify_tauprime(xor_rule, capsys):

@@ -172,8 +172,8 @@ def test_lead_digit_splits_match_reference(monkeypatch, chunk):
 # ``_grids`` runs once for image cell 0 of every word (the rule's one
 # evaluation, over the three positions that cell reads), then once per
 # key pass over the rotations of that cell: the coverage pass, which
-# stops at the first count that falls short, the least-collision pass
-# and the counterexample pass.
+# marks every chunk before the flags are counted, the least-collision
+# pass and the counterexample pass.
 
 
 def constant_merge(a, b):
@@ -200,20 +200,16 @@ def recorded_grids(monkeypatch):
     return calls
 
 
-def constant_word(a):
-    return a * (1 + 6 + 36)
-
-
 @pytest.mark.parametrize(
-    "a, b, chunks",
+    "a, b",
     [
-        (1, 0, 1),  # a^3 and b^3 both in the first chunk
-        (2, 1, 2),  # in the first and second chunks only
-        (4, 5, 3),  # both in the last chunk
-        (5, 4, 3),
+        (1, 0),  # a^3 and b^3 both in the first chunk
+        (2, 1),  # in the first and second chunks only
+        (4, 5),  # both in the last chunk
+        (5, 4),
     ],
 )
-def test_coverage_sweep_stops_at_the_first_short_chunk(monkeypatch, a, b, chunks):
+def test_coverage_sweep_marks_every_chunk_before_the_search(monkeypatch, a, b):
     monkeypatch.setattr(verify, "_CHUNK", 72)
     for rule in constant_merge(a, b):
         expected = reference_inject(rule, 3)
@@ -229,35 +225,40 @@ def test_coverage_sweep_stops_at_the_first_short_chunk(monkeypatch, a, b, chunks
         # sees each neighborhood once, and the table is looked up in one pass.
         assert calls[0] == [0, 72, 144]
         assert sorted(hoods) == ([] if rule.local_batch else list(itertools.product(range(6), repeat=3)))
-        # The coverage key pass marks no chunk after the one where the
-        # count first falls short; only then is the least collision searched.
-        assert calls[1] == [0, 72, 144][:chunks]
+        # The coverage key pass marks every chunk, wherever the collision
+        # is; only then is the least collision searched.
+        assert calls[1] == [0, 72, 144]
         assert calls[2] == [0, 72, 144]
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_coverage_sweep_counts_once_a_sixteenth_is_swept(monkeypatch, chunk):
-    # The count comes after a chunk once 216 // 16 = 13 words have been
-    # swept since the last one, and after the last chunk; the coverage
-    # pass stops at the first count that falls short.
+def test_coverage_sweep_counts_the_flags_once(monkeypatch, chunk):
+    # Over chunks of 1 and 7 words, the coverage pass marks every chunk
+    # and counts the 216 flags once, after the last; the identity
+    # constant_merge(0, 0) passes with no further pass.
     monkeypatch.setattr(verify, "_CHUNK", chunk)
-    for a, b in ((1, 0), (2, 1), (4, 5), (5, 4)):
-        # Words up to this one hold the collision.
-        visible = max(constant_word(a), constant_word(b))
+    firsts = [first for first, _ in verify._grids(6, 3, chunk)]
+    counts = []
+    count_nonzero = np.count_nonzero
+
+    def counting(a, *args, **kwargs):
+        if getattr(a, "dtype", None) == bool and a.size == 216:
+            counts.append(a.size)
+        return count_nonzero(a, *args, **kwargs)
+
+    monkeypatch.setattr(verify.np, "count_nonzero", counting)
+    for a, b in ((1, 0), (2, 1), (4, 5), (5, 4), (0, 0)):
         for rule in constant_merge(a, b):
             calls = recorded_grids(monkeypatch)
-            assert fields(verify.check_injective_cyclic(rule, 3)) == reference_inject(rule, 3)
-            # calls[1] is the coverage key pass, calls[2] the least-collision
-            # pass over every chunk.
-            ends = calls[2][1:] + [216]
-            counted, stop = 0, None
-            for end in ends:
-                if end - counted >= 13 or end == 216:
-                    counted = end
-                    if end > visible:
-                        stop = end
-                        break
-            assert ends[len(calls[1]) - 1] == stop
+            counts.clear()
+            report = verify.check_injective_cyclic(rule, 3)
+            assert fields(report) == reference_inject(rule, 3)
+            assert report.passed == (a == b)
+            # calls[1] is the coverage key pass; only a failing rule has
+            # a least-collision pass and a counterexample pass after it.
+            assert calls[1] == firsts
+            assert len(calls) == (2 if a == b else 4)
+            assert counts == [216]
 
 
 @pytest.mark.parametrize("chunk", [1, 256, 4095])
