@@ -563,12 +563,12 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     rotated left by i, and every pass reads its image keys off
     rotations of that one array.  It marks the flag of every image, then
     decides by coverage, counting the flags once: the rule is injective
-    exactly when all s**n flags are marked.  Keys are computed in int32 when s**n fits and
-    scattered into the flags as intp, ``_SCATTER_BLOCK`` keys per copy:
-    a fancy assignment with int32 indices costs more than the cast and
-    an intp scatter together.  Only a failing rule's keys are read
-    again, for the collision with the smallest image (read as a base-s
-    number), which it reports.
+    exactly when all s**n flags are marked.  Keys are computed in int32
+    when s**n fits and scattered into the flags as intp,
+    ``_SCATTER_BLOCK`` keys per copy: a fancy assignment with int32
+    indices costs more than the cast and an intp scatter together.
+    Only a failing rule's keys are read again, for the collision with
+    the smallest image (read as a base-s number), which it reports.
     Sampled mode reports the first draw whose image an earlier, different
     draw already had: it maps each image drawn to the word that first
     had it, walking the draws in order.
@@ -910,11 +910,13 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
         cfg = encode_tau_prime(rule.code, Finite(0, word, QUIESCENT_PAIR), gaps=gaps)
         ok, ledger = ledger_is_constant(rule.code, engine.run(rule, cfg, steps))
         _confirm(ok, not failed, start, "a constant ledger")
-        counterexample = None if ok else Counterexample(
-            input=format_configuration(cfg),
-            expected="constant heavy and light window sums",
-            actual=f"window={ledger.window} rows={ledger.rows}",
-        )
+        counterexample = None
+        if not ok:
+            counterexample = Counterexample(
+                input=format_configuration(cfg),
+                expected="constant heavy and light window sums",
+                actual=f"window={ledger.window} rows={ledger.rows}",
+            )
         terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
         domain = _domain(p, mode, count, seed, *terms)
     else:
