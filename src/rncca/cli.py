@@ -7,7 +7,8 @@ encode a partitioned configuration).
 
 Exit codes: 0 on success/pass, 1 on a property failure or a rule
 ``validate`` finds not reversible, 2 on a refusal to start: usage and
-parse errors, and a non-reversible rule given to any other command.
+parse errors, a non-reversible rule given to any other command, and a
+command too large to hold in memory or index.
 ``RNCCA_BUDGET`` overrides the exhaustive sweep budget.
 """
 
@@ -417,8 +418,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

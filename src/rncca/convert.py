@@ -399,16 +399,23 @@ def encode_tau_prime(code, config, k=None, gaps=None):
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
     if k is not None:
-        k = int(k)
+        k = _whole(k, "spacing k")
         if k < 3:
             raise ValueError("uniform spacing needs k >= 3; k = 2 is the plain block encoding")
         return _encode(code, config, k)
     return _encode(code, config, 3, _gap_list(gaps))
 
 
+def _whole(value, name):
+    """``value`` as an int; a ValueError names it if ``int`` would truncate it."""
+    if value != value // 1:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _gap_list(gaps):
     """``gaps`` as integers, each leaving at least one quiescent cell."""
-    gaps = [int(g) for g in gaps]
+    gaps = [_whole(g, "gap") for g in gaps]
     if any(g < 1 for g in gaps):
         raise ValueError("every gap must leave at least one quiescent cell")
     return gaps
@@ -485,7 +492,7 @@ def decode(code, config):
 def decode_tau_prime(code, config, k):
     """Invert the uniformly spaced encoding: blocks at multiples of k,
     exactly k-2 quiescent cells between them."""
-    k = int(k)
+    k = _whole(k, "spacing k")
     if k < 3:
         raise ValueError("uniform spacing needs k >= 3")
     return _decode(code, config, k)

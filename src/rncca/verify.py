@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .convert import _block_values, _encode, _gap_list, _layout, convert, encode_tau_prime
+from .convert import _block_values, _encode, _gap_list, _layout, _whole, convert, encode_tau_prime
 from .engine import Cyclic, Finite, Trajectory, window_growth
 from .formats import format_configuration
 from .rpca import QUIESCENT_PAIR, step_rpca
@@ -82,12 +82,13 @@ class VerificationReport:
     elapsed_ms: int
 
 
-def _check_bounds(mode, count, **bounds):
-    """Reject bounds that would leave the domain empty (a vacuous pass),
-    then a mode other than exhaustive and sampled."""
+def _check_bounds(mode, count, seed, **bounds):
+    """Reject a sampled mode without a count or a seed (``Random(None)``
+    draws from OS entropy), bounds that would leave the domain empty (a
+    vacuous pass), then a mode other than exhaustive and sampled."""
     if mode == "sampled":
-        if count is None:
-            raise ValueError("sampled mode needs a count")
+        if count is None or seed is None:
+            raise ValueError(f"sampled mode needs a {'count' if count is None else 'seed'}")
         bounds["sample count"] = count
     for name, value in bounds.items():
         if value < 1:
@@ -147,26 +148,16 @@ def _digits(index, s, length):
     return tuple(index // s**i % s for i in reversed(range(length)))
 
 
-def _image_cells(rule, cols, cyclic):
-    """One step of the words whose cell i is ``cols[i]``, for columns
-    that broadcast together: the image's cells, as columns that
-    broadcast against them.  Cyclic words wrap around; finite words are
-    zero-padded and their image covers the widened window."""
-    nb = rule.neighborhood
+def _image_cells(rule, cols):
+    """One step of the cyclic words whose cell i is ``cols[i]``, for
+    columns that broadcast together: the image's cells, as columns that
+    broadcast against them.  A zero-padded finite word of length L has
+    the same image cells, rotated, as the ring of length L + m with
+    m = max(nb) - min(nb) quiescent cells after it: no neighborhood then
+    reads both ends of the word."""
     batch = engine._batch_of(rule)
     n = len(cols)
-    if cyclic:
-        return [batch([cols[(i + d) % n] for d in nb]) for i in range(n)]
-    wl, wr = window_growth(nb)
-    zero = np.zeros((1,) * cols[0].ndim, dtype=cols[0].dtype)
-    return [
-        batch([cols[x + d] if 0 <= x + d < n else zero for d in nb])
-        for x in range(-wl, n + wr)
-    ]
-
-
-def _cyclic_images(rule, words):
-    return np.stack(np.broadcast_arrays(*_image_cells(rule, list(words.T), True)), axis=1)
+    return [batch([cols[(i + d) % n] for d in rule.neighborhood]) for i in range(n)]
 
 
 def _word_literal(word, cyclic=False):
@@ -391,25 +382,25 @@ def _first_sampled_unconserved(rule, lengths, cells, first):
     """Counterexample for the earliest sampled word whose cell sum one
     step changes, or None.  Word j is ``cells[j, :lengths[j]]``, draw
     number ``first + j``; even numbers are finite words, odd ones cyclic.
-    Finite words step together, zero-padded to the longest of them
-    (padding adds quiescent cells, which changes no sum); cyclic words
-    step in groups of one length."""
+    Every word steps as a ring (``_image_cells``), in groups of one ring
+    length: its own length for a cyclic word, and for every finite word
+    the longest finite word plus the quiescent margin (padding adds
+    quiescent cells, which changes no sum)."""
+    nb = rule.neighborhood
     cyclic = (first + np.arange(len(lengths))) % 2 == 1
-    groups = [(np.flatnonzero(~cyclic), False)]
-    groups += [(np.flatnonzero(cyclic & (lengths == n)), True) for n in np.unique(lengths[cyclic])]
+    rings = np.where(cyclic, lengths, lengths[~cyclic].max(initial=0) + max(nb) - min(nb))
     failures = []
-    for members, is_cyclic in groups:
-        if not members.size:
-            continue
+    for n in np.unique(rings).tolist():
+        members = np.flatnonzero(rings == n)
         words = np.ascontiguousarray(cells[members, : lengths[members].max()].T)
-        found = _first_unconserved(words.shape[1:], rule.state_count, _image_cells(rule, list(words), is_cyclic), words)
+        margin = [np.zeros(1, dtype=words.dtype)] * (n - len(words))
+        found = _first_unconserved(words.shape[1:], rule.state_count, _image_cells(rule, [*words, *margin]), words)
         if found:
-            row, change = found
-            failures.append((int(members[row]), change, is_cyclic))
+            failures.append((int(members[found[0]]), found[1]))
     if not failures:
         return None
-    j, change, is_cyclic = min(failures, key=lambda failure: failure[0])
-    return _conservation_counterexample(cells[j, : lengths[j]].tolist(), change, is_cyclic)
+    j, change = min(failures)
+    return _conservation_counterexample(cells[j, : lengths[j]].tolist(), change, bool(cyclic[j]))
 
 
 def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=None, seed=None, budget=None):
@@ -431,10 +422,10 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     finite and cyclic, with lengths up to ``max_support``.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, support=max_support)
+    _check_bounds(mode, count, seed, support=max_support)
     if rule.quiescent != 0:
         raise ValueError("number conservation sums need quiescent state 0")
-    s = rule.state_count
+    s, nb = rule.state_count, rule.neighborhood
     if mode == "exhaustive":
         lengths = range(1, max_support + 1)
         total = s**max_support + sum(s**n for n in lengths)
@@ -445,15 +436,15 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
 
         def sweep(length, cyclic):
             # A cyclic word's sum changes by the sum, over its rotations, of
-            # what image cell 0 changes cell 0 by.
+            # what image cell 0 changes cell 0 by; a finite word steps as the
+            # ring of it and a quiescent margin of max(nb) - min(nb) cells.
             if cyclic:
                 net = _cell_zero(rule, length, buffer)
                 net -= np.arange(s).reshape((s,) + (1,) * (length - 1))
             for first, cols in _grids(s, length, _CHUNK):
-                if cyclic:
-                    found = _first_unconserved(_grid_shape(cols), s, _cyclic_cells(net, cols))
-                else:
-                    found = _first_unconserved(_grid_shape(cols), s, _image_cells(rule, cols, False), cols)
+                margin = [np.zeros((1,) * cols[0].ndim, dtype=cols[0].dtype)] * (max(nb) - min(nb))
+                cells, words = (_cyclic_cells(net, cols), ()) if cyclic else (_image_cells(rule, cols + margin), cols)
+                found = _first_unconserved(_grid_shape(cols), s, cells, words)
                 if found:
                     yield _conservation_counterexample(_digits(first + found[0], s, length), found[1], cyclic)
 
@@ -574,7 +565,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     had it, walking the draws in order.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, cycle=n)
+    _check_bounds(mode, count, seed, cycle=n)
     s = rule.state_count
     counterexample = None
     if mode == "exhaustive":
@@ -599,7 +590,7 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
         seen = {}
         for first in range(0, count, rows):
             words = draws.below(s, min(rows, count - first) * n).reshape(-1, n)
-            images = np.ascontiguousarray(_cyclic_images(rule, words))
+            images = np.stack(np.broadcast_arrays(*_image_cells(rule, list(words.T))), axis=1)
             for i, (image, word) in enumerate(zip(_byte_rows(images).tolist(), _byte_rows(words).tolist())):
                 if seen.setdefault(image, word) != word:
                     owner = np.frombuffer(seen[image], words.dtype)
@@ -870,7 +861,7 @@ def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, step
     first failing start and its first failing t.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, support=max_support, steps=steps)
+    _check_bounds(mode, count, seed, support=max_support, steps=steps)
     _, counterexample = _spacing_sweep(p, convert(p), 2, [2], mode, max_support, steps, count, seed)
     domain = _domain(p, mode, count, seed, f"support<={max_support}", f"steps={steps}")
     return _report("simulate", domain, counterexample, started)
@@ -895,7 +886,7 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
     if gaps is not None:
-        _check_bounds(mode, count, steps=steps)
+        _check_bounds(mode, count, seed, steps=steps)
         gaps = _gap_list(gaps)
         rule = convert(p)
         rows = max(1, _ROW_CELLS // _ledger_row(rule, gaps, steps)[3])
@@ -920,8 +911,8 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
         terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
         domain = _domain(p, mode, count, seed, *terms)
     else:
-        _check_bounds(mode, count, support=max_support, steps=steps)
-        k = int(k)
+        _check_bounds(mode, count, seed, support=max_support, steps=steps)
+        k = _whole(k, "spacing k")
         if k < 2:
             raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
         bounds = f"support<={max_support}", f"steps={steps}"

@@ -199,12 +199,22 @@ def test_chunked_sweeps_match_reference(monkeypatch, row_cells):
     assert fields(verify.check_simulation_correspondence(p, **kwargs)) == reference_simulate(
         p, rule, **kwargs
     )
-    lossy = make_rule(3, (-1, 0), lambda a, b: max(a, b), 0)
-    for seed in range(3):
-        report = verify.check_number_conserving(lossy, mode="sampled", max_support=4, count=40, seed=seed)
-        assert fields(report) == reference_conserve_sampled(lossy, max_support=4, count=40, seed=seed)
-        report = verify.check_injective_cyclic(lossy, 3, mode="sampled", count=40, seed=seed)
-        assert fields(report) == reference_inject_sampled(lossy, 3, count=40, seed=seed)
+    # Finite words step as rings with a quiescent margin: one-sided,
+    # gapped and one-cell neighborhoods pin that margin, on the lossy
+    # max and on a shift with one entry changed.
+    verdicts = set()
+    for nb in ((-1, 0), (1, 2), (0, 3), (-3, -1), (0,)):
+        shift = {key: key[-1] for key in itertools.product(range(3), repeat=len(nb))}
+        shift[(2,) * len(nb)] = 1
+        for rule in (make_rule(3, nb, lambda *cells: max(cells), 0), make_rule(3, nb, shift, 0)):
+            for seed in range(3):
+                report = verify.check_number_conserving(rule, mode="sampled", max_support=4, count=40, seed=seed)
+                assert fields(report) == reference_conserve_sampled(rule, max_support=4, count=40, seed=seed)
+                verdicts.add(report.passed)
+                report = verify.check_injective_cyclic(rule, 3, mode="sampled", count=40, seed=seed)
+                assert fields(report) == reference_inject_sampled(rule, 3, count=40, seed=seed)
+                verdicts.add(report.passed)
+    assert verdicts == {True, False}
 
 
 def test_sampled_inject_finds_the_first_clash_across_chunks(monkeypatch):
@@ -212,13 +222,13 @@ def test_sampled_inject_finds_the_first_clash_across_chunks(monkeypatch):
     # its image lie chunks apart.  Each report must equal the one-dict
     # reference, and the sweep must stop at the clash's chunk.
     chunks = []
-    cyclic_images = verify._cyclic_images
+    image_cells = verify._image_cells
 
-    def counted(rule, words):
-        chunks.append(len(words))
-        return cyclic_images(rule, words)
+    def counted(rule, cols):
+        chunks.append(len(cols[0]))
+        return image_cells(rule, cols)
 
-    monkeypatch.setattr(verify, "_cyclic_images", counted)
+    monkeypatch.setattr(verify, "_image_cells", counted)
 
     def sampled(rule, n, count, seed, row_cells):
         monkeypatch.setattr(verify, "_ROW_CELLS", row_cells)

@@ -232,6 +232,13 @@ BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
         (["verify", "{constant}", "inject"], 2, NOT_REVERSIBLE),
         (["embed", "{golden}/rule.rpca", "{golden}/source.cfg", "--gaps", "1,x"], 2, BAD_GAPS),
         (["verify", "{golden}/rule.rpca", "tauprime", "--gaps", "1,x"], 2, BAD_GAPS),
+        # Windows too wide to hold or to index fail before anything is allocated.
+        (["run", "{golden}/rule.rpca", "{golden}/finite.cfg", "--steps", str(10**18)], 2, "out of memory"),
+        (
+            ["run", "{golden}/rule.rpca", "{golden}/finite.cfg", "--steps", str(10**19)],
+            2,
+            "cannot fit 'int' into an index-sized integer",
+        ),
     ],
 )
 def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error):

@@ -261,6 +261,23 @@ def test_encode_tau_prime_rejects_small_k():
         encode_tau_prime(CODE22, Finite(0, [(1, 1)], QUIESCENT_PAIR), k=2)
 
 
+def test_fractional_spacings_and_gaps_are_refused_by_name():
+    # int() would truncate them to spacing 3 and gaps 1, 2.
+    alpha = Finite(0, [(1, 1), (1, 0), (0, 1)], QUIESCENT_PAIR)
+    with pytest.raises(ValueError, match="^spacing k must be a whole number, got 3.5$"):
+        encode_tau_prime(CODE22, alpha, k=3.5)
+    with pytest.raises(ValueError, match="^gap must be a whole number, got 2.2$"):
+        encode_tau_prime(CODE22, alpha, gaps=[1, 2.2])
+    with pytest.raises(ValueError, match="^spacing k must be a whole number, got 3.5$"):
+        decode_tau_prime(CODE22, encode_tau_prime(CODE22, alpha, k=3), 3.5)
+    # Whole numbers of any type behave as ints.
+    for k in (3.0, np.int64(3)):
+        enc = encode_tau_prime(CODE22, alpha, k=k)
+        assert enc == encode_tau_prime(CODE22, alpha, k=3)
+        assert decode_tau_prime(CODE22, enc, k) == alpha
+    assert encode_tau_prime(CODE22, alpha, gaps=[1.0, np.int64(2)]) == encode_tau_prime(CODE22, alpha, gaps=[1, 2])
+
+
 def test_encode_tau_prime_explicit_gaps_positions():
     word = [(1, 1), (1, 0), (0, 1)]
     enc = encode_tau_prime(CODE22, Finite(0, word, QUIESCENT_PAIR), gaps=[1, 2])

@@ -41,7 +41,11 @@ def random_rules(draw):
     """A random integer-state rule, as a table and as a callable: a shift
     (number-conserving and injective) with some entries overwritten."""
     s = draw(st.integers(1, 5))
-    nb = draw(st.sampled_from([(-1,), (0, 1), (-1, 0), (-1, 0, 1), (1, 2), (-2, -1, 0, 1)]))
+    # One-sided, gapped and one-cell neighborhoods too: a finite word steps
+    # as a ring with a quiescent margin of max(nb) - min(nb) cells.
+    nb = draw(st.sampled_from([
+        (-1,), (0,), (0, 1), (-1, 0), (-1, 0, 1), (1, 2), (0, 3), (-3, -1), (-2, 0, 2), (-2, -1, 0, 1),
+    ]))
     keys = list(itertools.product(range(s), repeat=len(nb)))
     shift = draw(st.integers(0, len(nb) - 1))
     table = {key: key[shift] for key in keys}
@@ -486,7 +490,7 @@ def test_rotated_cell_zero_is_every_image_cell(monkeypatch, chunk):
             assert c0.shape == tuple(s if i in verify._cell_zero_axes(rule.neighborhood, n) else 1 for i in range(n))
             for _, cols in verify._grids(s, n, verify._CHUNK):
                 shape = verify._grid_shape(cols)
-                cells = verify._image_cells(rule, cols, cyclic=True)
+                cells = verify._image_cells(rule, cols)
                 rotated = verify._cyclic_cells(c0, cols)
                 assert len(rotated) == len(cells) == n
                 for cell, view in zip(cells, rotated):

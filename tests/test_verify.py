@@ -65,9 +65,14 @@ def test_vectorized_finite_sweep_matches_engine_step():
     from rncca.engine import cell_at, step
     from rncca.verify import _image_cells
 
+    # A finite word steps as the ring of it and max(nb) - min(nb) = 3
+    # quiescent cells: ring cell i is cell i of the image for i <= 6, and
+    # cell 7 is cell -1.
     rng = np.random.default_rng(2)
     words = rng.integers(0, 16, size=(100, 5))
-    images = np.stack(_image_cells(XOR_RULE, list(words.T), False), axis=1)
+    zero = np.zeros(1, dtype=words.dtype)
+    ring = np.stack(np.broadcast_arrays(*_image_cells(XOR_RULE, [*words.T] + [zero] * 3)), axis=1)
+    images = np.roll(ring, 1, axis=1)
     for row in range(100):
         cfg = step(XOR_RULE, Finite(0, [int(v) for v in words[row]], 0))
         got = [int(v) for v in images[row]]
@@ -78,11 +83,11 @@ def test_vectorized_cyclic_sweep_matches_engine_step():
     import numpy as np
 
     from rncca.engine import step
-    from rncca.verify import _cyclic_images
+    from rncca.verify import _image_cells
 
     rng = np.random.default_rng(3)
     words = rng.integers(0, 16, size=(100, 6))
-    images = _cyclic_images(XOR_RULE, words)
+    images = np.stack(_image_cells(XOR_RULE, list(words.T)), axis=1)
     for row in range(100):
         cfg = step(XOR_RULE, Cyclic([int(v) for v in words[row]]))
         assert tuple(int(v) for v in images[row]) == cfg.word
@@ -140,11 +145,11 @@ def test_inject_sampled_mode_runs():
 CHECKS = pytest.mark.parametrize(
     "check",
     [
-        lambda mode: check_number_conserving(XOR_RULE, mode=mode, max_support=2),
-        lambda mode: check_injective_cyclic(XOR_RULE, 3, mode=mode),
-        lambda mode: check_simulation_correspondence(XOR, mode=mode, max_support=2, steps=1),
-        lambda mode: check_tau_prime_correspondence(XOR, k=3, mode=mode, max_support=2, steps=1),
-        lambda mode: check_tau_prime_correspondence(XOR, gaps=[1, 2], mode=mode, steps=1),
+        lambda mode, **kw: check_number_conserving(XOR_RULE, mode=mode, max_support=2, **kw),
+        lambda mode, **kw: check_injective_cyclic(XOR_RULE, 3, mode=mode, **kw),
+        lambda mode, **kw: check_simulation_correspondence(XOR, mode=mode, max_support=2, steps=1, **kw),
+        lambda mode, **kw: check_tau_prime_correspondence(XOR, k=3, mode=mode, max_support=2, steps=1, **kw),
+        lambda mode, **kw: check_tau_prime_correspondence(XOR, gaps=[1, 2], mode=mode, steps=1, **kw),
     ],
     ids=["conserve", "inject", "simulate", "tauprime-k", "tauprime-gaps"],
 )
@@ -166,6 +171,16 @@ def test_sampled_mode_without_a_count_is_refused(check):
     with pytest.raises(ValueError) as err:
         check("sampled")
     assert str(err.value) == "sampled mode needs a count"
+
+
+@CHECKS
+def test_sampled_mode_without_a_seed_is_refused(check):
+    # Random(None) seeds from OS entropy, so the domain's seed=None would
+    # not reproduce the draws; a seed of 0 runs.
+    with pytest.raises(ValueError) as err:
+        check("sampled", count=5)
+    assert str(err.value) == "sampled mode needs a seed"
+    assert "seed=0" in check("sampled", count=5, seed=0).domain
 
 
 def test_any_reversible_table_converts_to_passing_rule():
@@ -250,13 +265,25 @@ def test_tauprime_period_holds_for_random_rule():
         (dict(k=3, gaps=[1]), "give exactly one of k and gaps"),
         ({}, "give exactly one of k and gaps"),
         (dict(k=1), "uniform spacing needs k >= 3 (k = 2 delegates to simulate)"),
+        (dict(k=3.9), "spacing k must be a whole number, got 3.9"),
+        (dict(gaps=[1.7, 2.2]), "gap must be a whole number, got 1.7"),
+        (dict(gaps=[1, float("nan")]), "gap must be a whole number, got nan"),
     ],
-    ids=["both", "neither", "k=1"],
+    ids=["both", "neither", "k=1", "k=3.9", "gaps=1.7,2.2", "gap=nan"],
 )
 def test_tauprime_refuses_a_bad_spacing(spacing, error):
     with pytest.raises(ValueError) as err:
         check_tau_prime_correspondence(XOR, max_support=2, steps=1, **spacing)
     assert str(err.value) == error
+
+
+def test_tauprime_takes_whole_spacings_and_gaps_of_any_type():
+    for k in (3, 3.0, np.int64(3)):
+        report = check_tau_prime_correspondence(XOR, k=k, max_support=2, steps=1)
+        assert report.domain == "exhaustive pairs=2x2 k=3 support<=2 steps=1 period=3"
+    for gaps in ([1, 2], [1.0, np.int32(2)]):
+        report = check_tau_prime_correspondence(XOR, gaps=gaps, steps=1)
+        assert report.domain == "exhaustive pairs=2x2 gaps=1,2 blocks=3 steps=1"
 
 
 def test_tauprime_gap_mode_mass_conservation():
