@@ -7,8 +7,8 @@ encode a partitioned configuration).
 
 Exit codes: 0 on success/pass, 1 on a property failure or a rule
 ``validate`` finds not reversible, 2 on a refusal to start: usage and
-parse errors, a non-reversible rule given to any other command, and a
-command too large to hold in memory or index.
+parse errors, a non-reversible rule given to ``convert``, ``run`` or
+``verify``, and a command too large to hold in memory or index.
 ``RNCCA_BUDGET`` overrides the exhaustive sweep budget.
 """
 

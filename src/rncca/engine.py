@@ -482,14 +482,15 @@ def _pinned_cells(word, start, stop):
     return (word * ((k + stop - start - 1) // n + 1))[k : k + stop - start]
 
 
-def _shrink_step(batch, nb, rows):
-    """One step of the rows along the last axis of ``rows``, kept to the
-    cells whose whole neighborhood they hold: each neighborhood offset
-    is a shifted slice, and the image is ``max(nb) - min(nb)`` cells
+def _shrink_step(rule, rows):
+    """One step of ``rule`` on the rows along the last axis of ``rows``,
+    kept to the cells whose whole neighborhood they hold: each offset is
+    a shifted slice, and the image is ``max(nb) - min(nb)`` cells
     shorter, its cell i being the row's cell ``i - min(nb)``."""
+    nb = rule.neighborhood
     lo = min(nb)
     width = rows.shape[-1] - (max(nb) - lo)
-    return batch([rows[..., d - lo : d - lo + width] for d in nb])
+    return _batch_of(rule)([rows[..., d - lo : d - lo + width] for d in nb])
 
 
 def _run_rows(rule, cfg, steps):
@@ -505,7 +506,6 @@ def _run_rows(rule, cfg, steps):
     ``window_matrix`` read it.
     """
     nb = rule.neighborhood
-    batch = _batch_of(rule)
     lo, hi = min(nb), max(nb)
     if isinstance(cfg, Cyclic):
         row = np.array(cfg.word, dtype=np.intp)
@@ -519,7 +519,7 @@ def _run_rows(rule, cfg, steps):
         row = np.array(window_cells(cfg, start, c1 - 1 + nr + (wr + hi) * steps), dtype=np.intp)
     rows = [(start, row)]
     for _ in range(steps):
-        row = _shrink_step(batch, nb, row[ring])
+        row = _shrink_step(rule, row[ring])
         start -= shift
         rows.append((start, row))
     return rows

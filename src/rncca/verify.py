@@ -84,17 +84,22 @@ class VerificationReport:
 
 def _check_bounds(mode, count, seed, **bounds):
     """Reject a sampled mode without a count or a seed (``Random(None)``
-    draws from OS entropy), bounds that would leave the domain empty (a
-    vacuous pass), then a mode other than exhaustive and sampled."""
+    draws from OS entropy), bounds that are not whole numbers or would
+    leave the domain empty (a vacuous pass), then a mode other than
+    exhaustive and sampled.  Returns the bounds as ints, in order, then
+    the count: a bound too, checked and an int, in sampled mode."""
     if mode == "sampled":
         if count is None or seed is None:
             raise ValueError(f"sampled mode needs a {'count' if count is None else 'seed'}")
         bounds["sample count"] = count
+    checked = []
     for name, value in bounds.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        checked.append(_whole(value, name))
+        if checked[-1] < 1:
+            raise ValueError(f"{name} must be at least 1, got {checked[-1]}")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    return checked if mode == "sampled" else checked + [count]
 
 
 def _report(name, domain, counterexample, started):
@@ -166,7 +171,6 @@ def _word_literal(word, cyclic=False):
 
 
 def _check_budget(total, budget):
-    budget = DEFAULT_BUDGET if budget is None else budget
     if total > budget:
         raise ValueError(
             f"exhaustive sweep would step {total} words, over the budget of {budget};"
@@ -422,7 +426,8 @@ def check_number_conserving(rule, *, mode="exhaustive", max_support=4, count=Non
     finite and cyclic, with lengths up to ``max_support``.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, seed, support=max_support)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    max_support, budget, count = _check_bounds(mode, count, seed, support=max_support, budget=budget)
     if rule.quiescent != 0:
         raise ValueError("number conservation sums need quiescent state 0")
     s, nb = rule.state_count, rule.neighborhood
@@ -565,7 +570,8 @@ def check_injective_cyclic(rule, n, *, mode="exhaustive", count=None, seed=None,
     had it, walking the draws in order.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, seed, cycle=n)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    n, budget, count = _check_bounds(mode, count, seed, cycle=n, budget=budget)
     s = rule.state_count
     counterexample = None
     if mode == "exhaustive":
@@ -651,9 +657,6 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     so rows are equal exactly when the canonical configurations are.
     """
     code = rule.code
-    # Source step on codes, offsets (0, -1): the pair at x becomes
-    # table[c(x)][r(x - 1)].
-    forward = p._forward
     # Each source cell becomes one block: hat, check, k - 2 quiescent cells.
     blocks = np.zeros((len(p._pairs), k), dtype=np.min_scalar_type(code.state_count - 1))
     blocks[:, :2] = _block_values(code, p._pairs)
@@ -667,14 +670,14 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     padded = np.zeros((n, source.shape[1] + 1), dtype=np.intp)
     for _ in range(steps):
         padded[:, 1:] = source
-        source = engine._shrink_step(forward.local_batch, forward.neighborhood, padded)
+        # The source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
+        source = engine._shrink_step(p._forward, padded)
         encoded.append(blocks[source].reshape(n, -1))
     compared = {}
     for i, q in enumerate(periods):
         for t in range(1, steps + 1):
             compared.setdefault(q * t, []).append((i, t))
     nb = rule.neighborhood
-    batch = engine._batch_of(rule)
     lo, hi = min(nb), max(nb)
     width = encoded[0].shape[1]
     row = encoded[0].astype(np.intp)
@@ -682,10 +685,10 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     # Each step drops hi - lo cells: the row after T steps covers cells
     # -lo*T .. width-1-hi*T of the encoded rows.
     for T in range(1, horizon + 1):
-        image = engine._shrink_step(batch, nb, row)
+        image = engine._shrink_step(rule, row)
         for i, t in compared.get(T, ()):
             bad[i, t - 1] = (image != encoded[t][:, -lo * T : width - hi * T]).any(axis=1)
-        # One conversion here spares one per shifted slice in ``batch``.
+        # One conversion here spares one per shifted slice in ``_shrink_step``.
         row = image.astype(np.intp)
     return bad
 
@@ -760,9 +763,7 @@ def _ledger_failures(p, rule, gaps, words, steps):
     sum is read from exact cells, as prefix sums along the stepped rows.
     """
     code = rule.code
-    nb = rule.neighborhood
-    batch = engine._batch_of(rule)
-    lo = min(nb)
+    lo = min(rule.neighborhood)
     n = len(words)
     starts, cells, x0, width = _ledger_row(rule, gaps, steps)
     background = np.array(code.quiescent_block + (0,), dtype=np.intp)[np.arange(x0, x0 + width) % 3]
@@ -799,7 +800,7 @@ def _ledger_failures(p, rule, gaps, words, steps):
     initial = ledger(row, 0)
     steady = np.ones(initial.shape, dtype=bool)
     for t in range(1, steps + 1):
-        row = engine._shrink_step(batch, nb, row).astype(np.intp)
+        row = engine._shrink_step(rule, row).astype(np.intp)
         steady &= ledger(row, t) == initial
     return ~(steady[:, :w] & steady[:, w:]).any(axis=1)
 
@@ -824,12 +825,13 @@ def _sweep(starts, candidates, tracks):
     return candidates, words[-1], False
 
 
-def _spacing_sweep(p, rule, k, candidates, mode, max_support, steps, count, seed):
-    """The periods among ``candidates`` whose q derived steps track every
-    source step of every start under the spacing-k block encoding, and
-    the counterexample when none does.  The first start no candidate
-    survives, else the last one, goes through the public functions once
-    more: they confirm the sweep and word the report."""
+def _spacing_sweep(p, k, candidates, mode, max_support, steps, count, seed):
+    """The periods among ``candidates`` whose q steps of ``convert(p)``
+    track every source step of every start under the spacing-k block
+    encoding, and the counterexample when none does.  The first start no
+    candidate survives, else the last one, goes through the public
+    functions once more: they confirm the sweep and word the report."""
+    rule = convert(p)
     # Starts per chunk, so that a derived row matrix has about _ROW_CELLS cells.
     width = k * (sum(_padding(rule, k, max(candidates) * steps, steps)) + max_support)
     rows = max(1, _ROW_CELLS // width)
@@ -861,8 +863,8 @@ def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, step
     first failing start and its first failing t.
     """
     started = time.perf_counter()
-    _check_bounds(mode, count, seed, support=max_support, steps=steps)
-    _, counterexample = _spacing_sweep(p, convert(p), 2, [2], mode, max_support, steps, count, seed)
+    max_support, steps, count = _check_bounds(mode, count, seed, support=max_support, steps=steps)
+    _, counterexample = _spacing_sweep(p, 2, [2], mode, max_support, steps, count, seed)
     domain = _domain(p, mode, count, seed, f"support<={max_support}", f"steps={steps}")
     return _report("simulate", domain, counterexample, started)
 
@@ -886,7 +888,7 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
     if gaps is not None:
-        _check_bounds(mode, count, seed, steps=steps)
+        steps, count = _check_bounds(mode, count, seed, steps=steps)
         gaps = _gap_list(gaps)
         rule = convert(p)
         rows = max(1, _ROW_CELLS // _ledger_row(rule, gaps, steps)[3])
@@ -911,14 +913,14 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
         terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
         domain = _domain(p, mode, count, seed, *terms)
     else:
-        _check_bounds(mode, count, seed, support=max_support, steps=steps)
+        max_support, steps, count = _check_bounds(mode, count, seed, support=max_support, steps=steps)
         k = _whole(k, "spacing k")
         if k < 2:
-            raise ValueError("uniform spacing needs k >= 3 (k = 2 delegates to simulate)")
+            raise ValueError(f"uniform spacing needs k >= 2, got {k}")
         bounds = f"support<={max_support}", f"steps={steps}"
         # k = 2 sweeps the one period of ``simulate``, under its own domain.
         periods = [2] if k == 2 else list(range(1, 4 * k + 1))
-        candidates, counterexample = _spacing_sweep(p, convert(p), k, periods, mode, max_support, steps, count, seed)
+        candidates, counterexample = _spacing_sweep(p, k, periods, mode, max_support, steps, count, seed)
         period = min(candidates) if counterexample is None else None
         if k == 2:
             domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)

@@ -239,6 +239,14 @@ BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
             2,
             "cannot fit 'int' into an index-sized integer",
         ),
+        # A budget below 1 is refused in every mode, and a spacing below 2.
+        (["verify", "{golden}/rule.rpca", "conserve", "--budget", "0"], 2, "budget must be at least 1, got 0"),
+        (
+            ["verify", "{golden}/rule.rpca", "inject", "--budget", "-1", "--sampled", "5"],
+            2,
+            "budget must be at least 1, got -1",
+        ),
+        (["verify", "{golden}/rule.rpca", "tauprime", "--spacing", "1"], 2, "uniform spacing needs k >= 2, got 1"),
     ],
 )
 def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error):
@@ -429,6 +437,12 @@ def test_verify_budget_env_refusal(xor_rule, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_verify_budget_env_below_one_is_refused(xor_rule, capsys, monkeypatch):
+    monkeypatch.setenv("RNCCA_BUDGET", "-1")
+    assert main(["verify", xor_rule, "conserve", "--support", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: budget must be at least 1, got -1\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "1e9"])
 def test_verify_budget_env_must_be_an_integer(xor_rule, capsys, monkeypatch, value):
     monkeypatch.setenv("RNCCA_BUDGET", value)
@@ -482,6 +496,14 @@ def test_embed_rejects_small_k_and_gaps(xor_rule, tmp_path, capsys):
     cfg.write_text("finite q#=(0,0) @0: (1,1),(1,0)\n")
     assert main(["embed", xor_rule, str(cfg), "--tau-prime", "2"]) == 2
     assert main(["embed", xor_rule, str(cfg), "--gaps", "0"]) == 2
+
+
+def test_embed_takes_a_non_reversible_rule(tmp_path, capsys):
+    # Encoding reads only the source's sizes, so it needs no reversibility.
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("finite q#=(0,0) @0: (1,1)\n")
+    assert main(["embed", str(GOLDEN / "constant.rpca"), str(cfg), "--tau"]) == 0
+    assert capsys.readouterr() == ("biperiodic left=0,15 center@0=5,10 right=0,15\n", "")
 
 
 def test_embed_written_file_reparses(xor_rule, tmp_path):

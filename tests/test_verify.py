@@ -183,6 +183,54 @@ def test_sampled_mode_without_a_seed_is_refused(check):
     assert "seed=0" in check("sampled", count=5, seed=0).domain
 
 
+# Every oracle with one of its bounds given, and that bound's name.
+@pytest.mark.parametrize(
+    "check, bound",
+    [
+        (lambda v, **kw: check_number_conserving(XOR_RULE, max_support=v, **kw), "support"),
+        (lambda v, **kw: check_injective_cyclic(XOR_RULE, v, **kw), "cycle"),
+        (lambda v, **kw: check_simulation_correspondence(XOR, max_support=2, steps=v, **kw), "steps"),
+        (lambda v, **kw: check_tau_prime_correspondence(XOR, k=3, max_support=v, steps=1, **kw), "support"),
+    ],
+    ids=["conserve", "inject", "simulate", "tauprime"],
+)
+def test_bounds_and_counts_must_be_whole_numbers(check, bound):
+    for value in (2.5, float("nan")):
+        with pytest.raises(ValueError) as err:
+            check(value)
+        assert str(err.value) == f"{bound} must be a whole number, got {value}"
+    with pytest.raises(ValueError) as err:
+        check(1, mode="sampled", count=2.5, seed=0)
+    assert str(err.value) == "sample count must be a whole number, got 2.5"
+    # A whole bound or count of any type runs, and the domain reads it as an int.
+    domain = check(1).domain
+    for value in (1.0, True, np.int64(1)):
+        assert check(value).domain == domain
+    domain = check(1, mode="sampled", count=3, seed=0).domain
+    assert check(True, mode="sampled", count=3.0, seed=0).domain == domain
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "budget, error",
+    [
+        (0, "budget must be at least 1, got 0"),
+        (-1, "budget must be at least 1, got -1"),
+        (10**9 + 0.5, "budget must be a whole number, got 1000000000.5"),
+    ],
+    ids=["0", "-1", "fraction"],
+)
+def test_budget_must_be_a_whole_number_of_at_least_one(mode, budget, error):
+    sampled = dict(count=3, seed=0) if mode == "sampled" else {}
+    for check in (
+        lambda: check_number_conserving(XOR_RULE, mode=mode, max_support=2, budget=budget, **sampled),
+        lambda: check_injective_cyclic(XOR_RULE, 2, mode=mode, budget=budget, **sampled),
+    ):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == error
+
+
 def test_any_reversible_table_converts_to_passing_rule():
     # both halves of the construction, spot-checked on a third table
     p = example_rpca("random", c_size=3, r_size=2, seed=11)
@@ -264,12 +312,13 @@ def test_tauprime_period_holds_for_random_rule():
     [
         (dict(k=3, gaps=[1]), "give exactly one of k and gaps"),
         ({}, "give exactly one of k and gaps"),
-        (dict(k=1), "uniform spacing needs k >= 3 (k = 2 delegates to simulate)"),
+        (dict(k=1), "uniform spacing needs k >= 2, got 1"),
+        (dict(k=True), "uniform spacing needs k >= 2, got 1"),
         (dict(k=3.9), "spacing k must be a whole number, got 3.9"),
         (dict(gaps=[1.7, 2.2]), "gap must be a whole number, got 1.7"),
         (dict(gaps=[1, float("nan")]), "gap must be a whole number, got nan"),
     ],
-    ids=["both", "neither", "k=1", "k=3.9", "gaps=1.7,2.2", "gap=nan"],
+    ids=["both", "neither", "k=1", "k=True", "k=3.9", "gaps=1.7,2.2", "gap=nan"],
 )
 def test_tauprime_refuses_a_bad_spacing(spacing, error):
     with pytest.raises(ValueError) as err:
