@@ -312,7 +312,7 @@ def cmd_verify(args):
         if args.property == "simulate":
             report = verify.check_simulation_correspondence(
                 p, mode=mode, max_support=args.support, steps=args.steps,
-                count=count, seed=args.seed,
+                count=count, seed=args.seed, budget=budget,
             )
         else:
             gaps = None if args.gaps is None else _parse_gaps(args.gaps)
@@ -325,6 +325,7 @@ def cmd_verify(args):
                 steps=args.steps,
                 count=count,
                 seed=args.seed,
+                budget=budget,
             )
     print(verify.format_report(report))
     return 0 if report.passed else 1

@@ -236,29 +236,20 @@ def convert(p):
     table = _reduced_table(code, p)
     flat = table.reshape(-1)
     cells = memoryview(flat)
-    # Each cell's share of the table index, by state: int32 holds every
-    # index below _TABLE_LIMIT.
+    # Each cell's share of the table index, by state and offset: int32
+    # holds every index below _TABLE_LIMIT.
     q = np.arange(s, dtype=np.int32)
-    ta, tb, tc, td = q % two_r * (s * two_c * s), q, q * (two_c * s), q // two_r * s
+    terms = np.stack([q % two_r * (s * two_c * s), q, q * (two_c * s), q // two_r * s], axis=1)
 
     def local(qm2, qm1, q0, q1):
         return cells[((qm2 % two_r * s + q0) * two_c + q1 // two_r) * s + qm1]
-
-    def local_batch(cols):
-        """The table at the columns' summed index terms, added in pairs
-        (q-2 with q1, q-1 with q0) and not in place: the columns may
-        broadcast.  On a sweep's grid each pair spans fewer axes than the
-        whole (a 3-cycle reads one column at -2 and +1), so only the last
-        add is full size."""
-        a, b, c, d = cols
-        return flat.take((ta.take(a) + td.take(d)) + (tb.take(b) + tc.take(c)))
 
     return NccaRule(
         state_count=s,
         neighborhood=NEIGHBORHOOD,
         local=local,
         quiescent=0,
-        local_batch=local_batch,
+        local_batch=engine._IndexTable(terms, flat),
         code=code,
     )
 

@@ -25,7 +25,9 @@ configurations compare with plain ``==``.  Cell values are the integers
 ``0..state_count-1``; partitioned cells step as their integer codes (see
 ``rpca``).  Every step goes through one row stepper: a configuration is
 laid out as a numpy row, each neighborhood offset is a shifted slice of
-it, and the rule's batch evaluator computes the whole image at once.
+it, and the rule's batch evaluator computes the whole image at once (a
+table rule's evaluator gathers each cell's index shares once, for all
+offsets).
 ``run`` keeps its trajectory as those rows: a configuration is built
 from its row only when ``Trajectory.configs`` is first read, and
 ``window_matrix`` reads windows from the rows alone.
@@ -204,11 +206,7 @@ def make_rule(state_count, neighborhood, local_map, quiescent):
                 idx = idx * _s + x
             return _cells[idx]
 
-        def batch(cols, _flat=flat, _s=s):
-            idx = cols[0].astype(np.int64)
-            for col in cols[1:]:
-                idx = idx * _s + col
-            return _flat[idx]
+        batch = _IndexTable(np.arange(s, dtype=np.int64)[:, None] * s ** np.arange(m - 1, -1, -1), flat)
 
     if local(*([quiescent] * m)) != quiescent:
         raise ValueError("quiescent state must map to itself on the all-quiescent neighborhood")
@@ -383,6 +381,25 @@ def _check_config(rule, cfg):
             raise ValueError(f"state {value!r} out of range for {s} states")
 
 
+class _IndexTable:
+    """The batch evaluator of a table rule: ``table`` at the flat index
+    whose share from offset i is ``terms[q, i]`` for a cell in state q.
+    Called on columns that may broadcast, it sums the shares in pairs,
+    first offset with last, and not in place: on a sweep's digit grid
+    each pair spans fewer axes than the whole."""
+
+    def __init__(self, terms, table):
+        self.terms, self.table = terms, table
+        self._columns = [np.ascontiguousarray(column) for column in terms.T]
+
+    def __call__(self, cols):
+        t, m = self._columns, len(cols)
+        pairs = [t[i].take(cols[i]) + t[m - 1 - i].take(cols[m - 1 - i]) for i in range(m // 2)]
+        if m % 2:
+            pairs.append(t[m // 2].take(cols[m // 2]))
+        return self.table.take(sum(pairs[1:], pairs[0]))
+
+
 def _batch_of(rule):
     """The rule's batch evaluator: ``local_batch``, or else ``local``
     applied element by element over the broadcast columns.  ``make_rule``
@@ -486,11 +503,23 @@ def _shrink_step(rule, rows):
     """One step of ``rule`` on the rows along the last axis of ``rows``,
     kept to the cells whose whole neighborhood they hold: each offset is
     a shifted slice, and the image is ``max(nb) - min(nb)`` cells
-    shorter, its cell i being the row's cell ``i - min(nb)``."""
+    shorter, its cell i being the row's cell ``i - min(nb)``.  A table
+    rule's ``_IndexTable`` gathers every cell's index shares at once;
+    each offset's share is then a shifted view, the first and last
+    summed into a new contiguous index and the others added in place."""
     nb = rule.neighborhood
     lo = min(nb)
     width = rows.shape[-1] - (max(nb) - lo)
-    return _batch_of(rule)([rows[..., d - lo : d - lo + width] for d in nb])
+    batch = _batch_of(rule)
+    if not isinstance(batch, _IndexTable):
+        return batch([rows[..., d - lo : d - lo + width] for d in nb])
+    shares = batch.terms.take(rows, axis=0)
+    views = [shares[..., d - lo : d - lo + width, i] for i, d in enumerate(nb)]
+    # A sum into a strided view would be slower than this one copy.
+    index = views[0] + views[-1] if len(nb) > 1 else views[0]
+    for view in views[1:-1]:
+        index += view
+    return batch.table.take(index)
 
 
 def _run_rows(rule, cfg, steps):

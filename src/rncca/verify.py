@@ -178,6 +178,13 @@ def _check_budget(total, budget):
         )
 
 
+def _check_starts(p, mode, length, budget):
+    """Refuse an exhaustive simulation sweep whose starts, the
+    (|C||R|)**length pair words of ``_start_rows``, exceed ``budget``."""
+    if mode == "exhaustive":
+        _check_budget((p.c_size * p.r_size) ** length, budget)
+
+
 def _allocate(size, dtype, words, shorter):
     """``np.zeros(size, dtype)`` for an exhaustive sweep of ``words``
     words, or a ValueError that refuses the sweep when it does not fit."""
@@ -665,14 +672,16 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     n, length = words.shape
     source = np.zeros((n, left + length + right), dtype=np.intp)
     source[:, left : left + length] = words
-    encoded = [blocks[source].reshape(n, -1)]
+    # Each source cell's block is one k-cell item of ``cells``.
+    cells = _byte_rows(blocks)
+    encoded = [cells.take(source).view(blocks.dtype)]
     # The source rows after one quiescent column, cell x - 1 of their first cell.
     padded = np.zeros((n, source.shape[1] + 1), dtype=np.intp)
     for _ in range(steps):
         padded[:, 1:] = source
         # The source step on codes: the pair at x becomes table[c(x)][r(x - 1)].
         source = engine._shrink_step(p._forward, padded)
-        encoded.append(blocks[source].reshape(n, -1))
+        encoded.append(cells.take(source).view(blocks.dtype))
     compared = {}
     for i, q in enumerate(periods):
         for t in range(1, steps + 1):
@@ -680,16 +689,14 @@ def _tracking_failures(p, rule, k, words, periods, steps):
     nb = rule.neighborhood
     lo, hi = min(nb), max(nb)
     width = encoded[0].shape[1]
-    row = encoded[0].astype(np.intp)
+    row = encoded[0]
     bad = np.zeros((len(periods), steps, n), dtype=bool)
     # Each step drops hi - lo cells: the row after T steps covers cells
     # -lo*T .. width-1-hi*T of the encoded rows.
     for T in range(1, horizon + 1):
-        image = engine._shrink_step(rule, row)
+        row = engine._shrink_step(rule, row)
         for i, t in compared.get(T, ()):
-            bad[i, t - 1] = (image != encoded[t][:, -lo * T : width - hi * T]).any(axis=1)
-        # One conversion here spares one per shifted slice in ``_shrink_step``.
-        row = image.astype(np.intp)
+            bad[i, t - 1] = (row != encoded[t][:, -lo * T : width - hi * T]).any(axis=1)
     return bad
 
 
@@ -825,13 +832,15 @@ def _sweep(starts, candidates, tracks):
     return candidates, words[-1], False
 
 
-def _spacing_sweep(p, k, candidates, mode, max_support, steps, count, seed):
+def _spacing_sweep(p, k, candidates, mode, max_support, steps, count, seed, budget):
     """The periods among ``candidates`` whose q steps of ``convert(p)``
     track every source step of every start under the spacing-k block
     encoding, and the counterexample when none does.  The first start no
     candidate survives, else the last one, goes through the public
-    functions once more: they confirm the sweep and word the report."""
+    functions once more: they confirm the sweep and word the report.  An
+    exhaustive sweep of more starts than ``budget`` is refused."""
     rule = convert(p)
+    _check_starts(p, mode, max_support, budget)
     # Starts per chunk, so that a derived row matrix has about _ROW_CELLS cells.
     width = k * (sum(_padding(rule, k, max(candidates) * steps, steps)) + max_support)
     rows = max(1, _ROW_CELLS // width)
@@ -852,7 +861,9 @@ def _domain(p, mode, count, seed, *terms):
     return " ".join([mode, f"pairs={p.c_size}x{p.r_size}", *terms, *sampled])
 
 
-def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None):
+def check_simulation_correspondence(
+    p, *, mode="exhaustive", max_support=4, steps=4, count=None, seed=None, budget=None
+):
     """Each source step must equal two derived steps under the block encoding.
 
     For every starting configuration, runs the source CA for ``steps``
@@ -860,16 +871,23 @@ def check_simulation_correspondence(p, *, mode="exhaustive", max_support=4, step
     requiring exact equality of canonical forms at every checkpoint:
     the spacing-2 sweep with the single candidate period 2.  All starts
     of a chunk step together as rows of one matrix; the report names the
-    first failing start and its first failing t.
+    first failing start and its first failing t.  Exhaustive mode
+    refuses to start when its (|C||R|)**max_support starts are more than
+    ``budget``.
     """
     started = time.perf_counter()
-    max_support, steps, count = _check_bounds(mode, count, seed, support=max_support, steps=steps)
-    _, counterexample = _spacing_sweep(p, 2, [2], mode, max_support, steps, count, seed)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    max_support, steps, budget, count = _check_bounds(
+        mode, count, seed, support=max_support, steps=steps, budget=budget
+    )
+    _, counterexample = _spacing_sweep(p, 2, [2], mode, max_support, steps, count, seed, budget)
     domain = _domain(p, mode, count, seed, f"support<={max_support}", f"steps={steps}")
     return _report("simulate", domain, counterexample, started)
 
 
-def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", max_support=3, steps=4, count=None, seed=None):
+def check_tau_prime_correspondence(
+    p, *, k=None, gaps=None, mode="exhaustive", max_support=3, steps=4, count=None, seed=None, budget=None
+):
     """Spaced-block simulation checks.
 
     Uniform spacing k: searches the smallest period q <= 4k such that
@@ -882,15 +900,19 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
     window sums must stay constant for ``steps`` steps (the light window
     advancing one cell per step), as ``ledger_is_constant`` decides; the
     starts of a chunk step together, and their ledgers are read off the
-    stepped rows.
+    stepped rows.  Exhaustive mode refuses to start when its starts,
+    (|C||R|)**max_support or (|C||R|)**(len(gaps) + 1), are more than
+    ``budget``.
     """
     started = time.perf_counter()
+    budget = DEFAULT_BUDGET if budget is None else budget
     if (k is None) == (gaps is None):
         raise ValueError("give exactly one of k and gaps")
     if gaps is not None:
-        steps, count = _check_bounds(mode, count, seed, steps=steps)
+        steps, budget, count = _check_bounds(mode, count, seed, steps=steps, budget=budget)
         gaps = _gap_list(gaps)
         rule = convert(p)
+        _check_starts(p, mode, len(gaps) + 1, budget)
         rows = max(1, _ROW_CELLS // _ledger_row(rule, gaps, steps)[3])
         starts = _start_rows(p, mode, len(gaps) + 1, count, seed, rows, exact=True)
         # One candidate: every start keeps a constant ledger.
@@ -913,14 +935,16 @@ def check_tau_prime_correspondence(p, *, k=None, gaps=None, mode="exhaustive", m
         terms = f"gaps={','.join(map(str, gaps))}", f"blocks={len(gaps) + 1}", f"steps={steps}"
         domain = _domain(p, mode, count, seed, *terms)
     else:
-        max_support, steps, count = _check_bounds(mode, count, seed, support=max_support, steps=steps)
+        max_support, steps, budget, count = _check_bounds(
+            mode, count, seed, support=max_support, steps=steps, budget=budget
+        )
         k = _whole(k, "spacing k")
         if k < 2:
             raise ValueError(f"uniform spacing needs k >= 2, got {k}")
         bounds = f"support<={max_support}", f"steps={steps}"
         # k = 2 sweeps the one period of ``simulate``, under its own domain.
         periods = [2] if k == 2 else list(range(1, 4 * k + 1))
-        candidates, counterexample = _spacing_sweep(p, k, periods, mode, max_support, steps, count, seed)
+        candidates, counterexample = _spacing_sweep(p, k, periods, mode, max_support, steps, count, seed, budget)
         period = min(candidates) if counterexample is None else None
         if k == 2:
             domain = "k=2 is the plain block encoding; delegated: " + _domain(p, mode, count, seed, *bounds)

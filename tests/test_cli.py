@@ -210,6 +210,7 @@ def test_run_rejects_table_free_ncca(tmp_path, xor_rule, capsys):
 
 NOT_REVERSIBLE = "rule is not reversible; inputs (0, 0) and (0, 1) both map to (0, 0)"
 BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
+OVER_BUDGET = "exhaustive sweep would step 144 words, over the budget of 143; use sampled mode or raise the budget"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +248,19 @@ BAD_GAPS = "bad gap list '1,x'; expected comma-separated integers"
             "budget must be at least 1, got -1",
         ),
         (["verify", "{golden}/rule.rpca", "tauprime", "--spacing", "1"], 2, "uniform spacing needs k >= 2, got 1"),
+        (
+            ["verify", "{golden}/rule.rpca", "simulate", "--budget", "0", "--sampled", "5"],
+            2,
+            "budget must be at least 1, got 0",
+        ),
+        # The simulation sweeps keep the budget too: the 3x4 rule has 12**2 starts of support 2.
+        (["verify", "{golden}/rule.rpca", "simulate", "--support", "2", "--budget", "143"], 2, OVER_BUDGET),
+        (
+            ["verify", "{golden}/rule.rpca", "tauprime", "--spacing", "3", "--support", "2", "--budget", "143"],
+            2,
+            OVER_BUDGET,
+        ),
+        (["verify", "{golden}/rule.rpca", "tauprime", "--gaps", "1", "--budget", "143"], 2, OVER_BUDGET),
     ],
 )
 def test_refusals_exit_with_one_error_line(tmp_path, capsys, args, status, error):
@@ -441,6 +455,24 @@ def test_verify_budget_env_below_one_is_refused(xor_rule, capsys, monkeypatch):
     monkeypatch.setenv("RNCCA_BUDGET", "-1")
     assert main(["verify", xor_rule, "conserve", "--support", "2"]) == 2
     assert capsys.readouterr() == ("", "error: budget must be at least 1, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simulate", "--support", "3"], ["tauprime", "--spacing", "3", "--support", "3"], ["tauprime", "--gaps", "1,2"]],
+    ids=["simulate", "tauprime", "tauprime-gaps"],
+)
+def test_verify_simulation_sweeps_read_the_budget_env(xor_rule, capsys, monkeypatch, args):
+    # 4**3 xor starts: a budget of exactly that many runs, one fewer refuses.
+    monkeypatch.setenv("RNCCA_BUDGET", "63")
+    assert main(["verify", xor_rule, *args, "--steps", "2"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: exhaustive sweep would step 64 words, over the budget of 63; use sampled mode or raise the budget\n",
+    )
+    monkeypatch.setenv("RNCCA_BUDGET", "64")
+    assert main(["verify", xor_rule, *args, "--steps", "2"]) == 0
+    assert "passed=true" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["abc", "1e9"])

@@ -378,6 +378,42 @@ def test_conserve_refuses_over_budget():
     assert verify.check_number_conserving(rule, mode="sampled", max_support=9, count=5, seed=1, budget=1).passed
 
 
+XOR = example_rpca("xor")
+# The exhaustive simulation sweeps, with the (|C||R|)**length starts that
+# each sweeps: a xor start has |C||R| = 4 pairs per source cell.
+SIMULATION_SWEEPS = {
+    "simulate": lambda **kw: verify.check_simulation_correspondence(XOR, max_support=3, steps=2, **kw),
+    "tauprime-k2": lambda **kw: verify.check_tau_prime_correspondence(XOR, k=2, max_support=3, steps=2, **kw),
+    "tauprime-k3": lambda **kw: verify.check_tau_prime_correspondence(XOR, k=3, max_support=3, steps=1, **kw),
+    "tauprime-gaps": lambda **kw: verify.check_tau_prime_correspondence(XOR, gaps=[1, 2], steps=2, **kw),
+}
+
+
+@pytest.mark.parametrize("sweep", SIMULATION_SWEEPS.values(), ids=SIMULATION_SWEEPS)
+def test_simulation_sweeps_refuse_over_budget(sweep):
+    # 4**3 starts: a budget of exactly that many runs, one fewer refuses.
+    assert sweep(budget=64).passed
+    with pytest.raises(ValueError) as err:
+        sweep(budget=63)
+    assert str(err.value) == (
+        "exhaustive sweep would step 64 words, over the budget of 63; use sampled mode or raise the budget"
+    )
+    # Sampled mode has no budget to keep, but its budget must be valid.
+    assert sweep(mode="sampled", count=5, seed=1, budget=1).passed
+    with pytest.raises(ValueError, match="^budget must be at least 1, got 0$"):
+        sweep(mode="sampled", count=5, seed=1, budget=0)
+
+
+def test_simulation_sweeps_keep_the_default_budget():
+    # 4**14 starts are over 10**8, and are refused before any is stepped.
+    with pytest.raises(ValueError, match="would step 268435456 words, over the budget of 100000000;"):
+        verify.check_simulation_correspondence(XOR, max_support=14)
+    with pytest.raises(ValueError, match="would step 268435456 words, over the budget of 100000000;"):
+        verify.check_tau_prime_correspondence(XOR, k=3, max_support=14)
+    with pytest.raises(ValueError, match="would step 268435456 words, over the budget of 100000000;"):
+        verify.check_tau_prime_correspondence(XOR, gaps=[1] * 13)
+
+
 def test_cli_conserve_refuses_over_budget(tmp_path, capsys, monkeypatch):
     path = tmp_path / "xor.rpca"
     path.write_text(format_rpca(example_rpca("xor")))

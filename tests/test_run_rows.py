@@ -261,6 +261,76 @@ def test_local_batch_broadcasts_grid_columns_of_a_96_state_rule(dtype):
     assert images.reshape(-1).tolist() == expected
 
 
+def slice_step(rule, rows):
+    """The row step as one call of the batch evaluator on the rows'
+    shifted slices, one per offset."""
+    nb = rule.neighborhood
+    width = rows.shape[-1] - (max(nb) - min(nb))
+    return engine._batch_of(rule)([rows[..., d - min(nb) : d - min(nb) + width] for d in nb])
+
+
+SOURCE = example_rpca("random", 3, 2, seed=7)
+TABLE_RULES = {
+    "forward": SOURCE._forward,
+    "backward": SOURCE._backward,
+    "xor-derived": convert(example_rpca("xor")),
+    "derived-2x3": convert(example_rpca("random", 2, 3, seed=1)),
+}
+neighborhoods = st.one_of(
+    st.sampled_from([(-3, 0, 2), (-4, -2, -1), (1, 3), (0,), (2, -1, 0, -3)]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_rows_step_as_the_slice_path(data):
+    # A table rule's row step gathers each cell's index shares once; it
+    # must equal its evaluator's call on shifted slices, value and dtype.
+    if data.draw(st.booleans()):
+        rule = TABLE_RULES[data.draw(st.sampled_from(sorted(TABLE_RULES)))]
+    else:
+        nb = data.draw(neighborhoods)
+        rule = random_table_rule(data.draw(st.integers(1, 4)), nb, seed=data.draw(st.integers(0, 99)))
+    batch = engine._batch_of(rule)
+    assert isinstance(batch, engine._IndexTable)
+    span = max(rule.neighborhood) - min(rule.neighborhood)
+    shape = (data.draw(st.integers(1, 3)),) * data.draw(st.integers(0, 1))
+    shape += (span + data.draw(st.integers(0, 9)),)
+    dtype = data.draw(st.sampled_from([np.intp, batch.table.dtype]))
+    size = int(np.prod(shape))
+    cells = data.draw(st.lists(st.integers(0, rule.state_count - 1), min_size=size, max_size=size))
+    rows = np.array(cells, dtype=dtype).reshape(shape)
+    got, expected = engine._shrink_step(rule, rows), slice_step(rule, rows)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_a_replaced_local_batch_steps_rows_in_run_and_in_the_simulate_sweep(monkeypatch):
+    # dataclasses.replace swaps a derived rule's evaluator for a hand-built
+    # one: stepping and the simulate sweep must both call it.
+    p = example_rpca("xor")
+    rule = convert(p)
+    s = rule.state_count
+    shapes = []
+
+    def local_batch(cols):
+        shapes.append(np.broadcast_shapes(*(col.shape for col in cols)))
+        return (rule.local_batch(cols) + 1) % s
+
+    replaced = dataclasses.replace(rule, local_batch=local_batch)
+    start = encode_tau_prime(rule.code, Finite(0, ((1, 0), (0, 1)), QUIESCENT_PAIR), k=3)
+    rows = run(replaced, start, 3).rows
+    assert len(shapes) == 3
+    assert np.array_equal(rows[1][1], (run(rule, start, 3).rows[1][1] + 1) % s)
+    shapes.clear()
+    monkeypatch.setattr(verify, "convert", lambda source: replaced)
+    assert not verify.check_simulation_correspondence(p, max_support=2, steps=2).passed
+    # The sweep's row matrices, then the one confirmed start's rows.
+    assert [len(shape) for shape in shapes] == [2] * 4 + [1] * 4
+
+
 @pytest.mark.parametrize("steps", [0, 3])
 def test_start_check_takes_int_subclasses_and_names_the_first_other_cell(steps):
     rule = RULES[0]

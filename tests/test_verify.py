@@ -225,6 +225,9 @@ def test_budget_must_be_a_whole_number_of_at_least_one(mode, budget, error):
     for check in (
         lambda: check_number_conserving(XOR_RULE, mode=mode, max_support=2, budget=budget, **sampled),
         lambda: check_injective_cyclic(XOR_RULE, 2, mode=mode, budget=budget, **sampled),
+        lambda: check_simulation_correspondence(XOR, mode=mode, max_support=2, budget=budget, **sampled),
+        lambda: check_tau_prime_correspondence(XOR, k=3, mode=mode, max_support=2, budget=budget, **sampled),
+        lambda: check_tau_prime_correspondence(XOR, gaps=[1], mode=mode, budget=budget, **sampled),
     ):
         with pytest.raises(ValueError) as err:
             check()
