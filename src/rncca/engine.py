@@ -394,10 +394,13 @@ class _IndexTable:
 
     def __call__(self, cols):
         t, m = self._columns, len(cols)
-        pairs = [t[i].take(cols[i]) + t[m - 1 - i].take(cols[m - 1 - i]) for i in range(m // 2)]
-        if m % 2:
-            pairs.append(t[m // 2].take(cols[m // 2]))
-        return self.table.take(sum(pairs[1:], pairs[0]))
+        # Offset i pairs with offset ~i, a middle offset stands alone, and
+        # each pair is made as the sum reaches it: none outlives the gather.
+        pairs = (
+            t[i].take(cols[i]) + t[~i].take(cols[~i]) if 2 * i < m - 1 else t[i].take(cols[i])
+            for i in range((m + 1) // 2)
+        )
+        return self.table.take(sum(pairs, next(pairs)))
 
 
 def _batch_of(rule):
